@@ -24,7 +24,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from . import verify as verify_mod
 from .driver import OptimizerOptions, OptimizationFailedError, build_context, optimize
-from .fem import BoundaryCase, BeamProblem, SingularSystemError
+from .fem import BoundaryCase, BeamProblem, SingularSystemError, check_int
 
 
 class ConfigError(ValueError):
@@ -35,7 +35,7 @@ _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
                  "boundary_case"}
 _ANSATZ_KEYS = {"reps"}
 _OPTIMIZER_KEYS = {"seed", "restarts", "max_iter", "grad_tol", "fd_step"}
-_TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir", "mode"}
+_TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir"}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -57,38 +57,42 @@ def load_config(path: str) -> dict:
     _check_keys(prob, _PROBLEM_KEYS, "problem")
     _check_keys(raw.get("ansatz", {}), _ANSATZ_KEYS, "ansatz")
     _check_keys(raw.get("optimizer", {}), _OPTIMIZER_KEYS, "optimizer")
-    if "num_qubits" in prob and prob["num_qubits"] < 3:
+    n = prob.get("num_qubits")
+    if isinstance(n, int) and not isinstance(n, bool) and n < 3:
         raise ConfigError("CLI-level problems require at least 3 qubits")
     return raw
 
 
+def _validated(build, *args, **kwargs):
+    """``build(...)``, with its type and range errors raised as ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def problem_from_config(config: dict) -> BeamProblem:
     prob = dict(config.get("problem", {}))
-    try:
-        case = BoundaryCase(prob.pop("boundary_case", "cantilever").lower())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    case = prob.pop("boundary_case", "cantilever")
+    if not isinstance(case, str):
+        raise ConfigError(f"boundary_case must be a string, got {case!r}")
     defaults = {"length": 10.0, "youngs_modulus": 1000.0,
                 "second_moment": 1.0, "num_qubits": 5}
     defaults.update(prob)
-    try:
-        return BeamProblem(boundary_case=case, **defaults)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _validated(lambda: BeamProblem(
+        boundary_case=BoundaryCase(case.lower()), **defaults))
 
 
 def options_from_config(config: dict) -> OptimizerOptions:
-    try:
-        return OptimizerOptions(**config.get("optimizer", {}))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _validated(OptimizerOptions, **config.get("optimizer", {}))
 
 
 def run_case(config: dict, output_dir: str | None = None) -> dict:
     """Execute one configured case and write result files."""
     problem = problem_from_config(config)
     opts = options_from_config(config)
-    reps = int(config.get("ansatz", {}).get("reps", 5))
+    reps = config.get("ansatz", {}).get("reps", 5)
+    _validated(check_int, "reps", reps, 0)
     out = Path(output_dir or config.get("output_dir", "."))
 
     t0 = time.perf_counter()
@@ -140,17 +144,10 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
     }
 
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "result.json", result)
+    (out / "result.json").write_text(json.dumps(result, indent=2) + "\n")
     _write_convergence(out / "convergence.csv", record)
     _write_profile(out / "profile.csv", ctx, profile, u_phys)
     return result
-
-
-def _write_json(path: Path, payload: dict):
-    try:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_convergence(path: Path, record):

@@ -10,6 +10,8 @@ With n qubits the system has N = 2^n DOFs, i.e. N/2 nodes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +21,23 @@ import scipy.linalg
 
 class SingularSystemError(ValueError):
     """Raised when the constrained stiffness matrix is not positive definite."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """TypeError unless an integer (not a bool); ValueError below minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def check_real(name: str, value, positive: bool = True) -> None:
+    """TypeError unless a real number (not a bool); ValueError unless finite
+    and positive (non-negative with ``positive=False``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        raise ValueError(f"{name} is out of range: {value}")
 
 
 class BoundaryCase(str, Enum):
@@ -68,10 +87,12 @@ class BeamProblem:
     load: "LoadSpec | None" = None
 
     def __post_init__(self):
-        if self.length <= 0 or self.youngs_modulus <= 0 or self.second_moment <= 0:
-            raise ValueError("length, E and I must be positive")
-        if self.num_qubits < 2:
-            raise ValueError("at least 2 qubits required")
+        for name in ("length", "youngs_modulus", "second_moment"):
+            check_real(name, getattr(self, name))
+        check_int("num_qubits", self.num_qubits, 2)
+        if not isinstance(self.boundary_case, BoundaryCase):
+            raise TypeError(f"boundary_case must be a BoundaryCase, "
+                            f"got {self.boundary_case!r}")
 
     @property
     def num_dofs(self) -> int:

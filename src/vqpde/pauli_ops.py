@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fem import BcSpec, BeamProblem, BoundaryCase, assemble, element_stiffness, set_to_zero
+from .fem import BcSpec, BeamProblem, BoundaryCase, assemble, element_stiffness
 
 
 class DecompositionResidualError(ValueError):
@@ -155,14 +155,12 @@ def build_structured(problem: BeamProblem, bc: BcSpec, *,
             terms.append(StructuredTerm(c, Prefix.ZERO_PROJECTOR, tail,
                                         shift=2, sign=k2_sign))
 
+    # set_to_zero removes exactly the couplings K[d, j], j != d, of each
+    # constrained DOF d; each becomes the pair observable -K[d, j].
     K = assemble(problem)
-    _, K_bc = set_to_zero(K, bc)
-    pairs = []
-    N = problem.num_dofs
-    for p in range(N):
-        for q in range(p + 1, N):
-            if K_bc[p, q] != 0.0:
-                pairs.append((p, q, float(K_bc[p, q])))
+    pairs = sorted({(min(d, j), max(d, j), -float(K[d, j]))
+                    for d in bc.constrained_dofs
+                    for j in np.flatnonzero(K[d]).tolist() if j != d})
     return StructuredOperator(problem.num_qubits, tuple(terms), tuple(pairs))
 
 

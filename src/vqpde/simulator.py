@@ -1,8 +1,12 @@
-"""Exact statevector engine.
+"""Exact statevector simulation: the real engine and the gate-level oracle.
 
-Gate application, the increment (shift) circuit, the real-amplitude ansatz,
-the ancilla-based superposition state used by the overlap observable, and
-expectation evaluation for Pauli strings and projector-prefixed tails.
+``ansatz_states`` is the engine the driver runs: the real-amplitude ansatz
+in float64 for a batch of parameter rows at once. Everything else is the
+gate-level construction that defines the semantics and serves as its oracle
+(used by ``verify.py`` and the tests only): complex ``Statevector`` gate
+application, the increment (shift) circuit, the ancilla-based superposition
+state used by the overlap observable, and expectation evaluation for Pauli
+strings and projector-prefixed tails.
 
 Index convention: qubit 0 is the most significant bit of the basis index,
 i = sum_k b_k 2^(m-1-k). The element-matrix tail therefore acts on the two
@@ -114,11 +118,8 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate in place; controls select the |1> subspace."""
     m = state.num_qubits
-    if gate.target >= m:
+    if max((gate.target,) + gate.controls) >= m:
         raise IndexError("qubit index out of range")
-    for c in gate.controls:
-        if c >= m:
-            raise IndexError("qubit index out of range")
     amps = state.amplitudes
     i0, i1 = _gate_indices(m, gate.target, gate.controls)
     kind = gate.kind
@@ -165,6 +166,41 @@ def prepare_ansatz(n: int, reps: int, theta: np.ndarray) -> Statevector:
     return apply_circuit(Statevector.zero(n), ansatz_gates(n, reps, theta))
 
 
+@functools.lru_cache(maxsize=None)
+def _cnot_chain(n: int) -> np.ndarray:
+    """Index map of the CNOT chain: it XORs each bit with all more significant
+    ones, so |i> receives the amplitude of the Gray code i ^ (i >> 1)."""
+    idx = np.arange(2 ** n)
+    out = idx ^ (idx >> 1)
+    out.setflags(write=False)
+    return out
+
+
+def ansatz_states(thetas: np.ndarray, n: int, reps: int) -> np.ndarray:
+    """Real ansatz states, one column per row of ``thetas``: shape (2^n, B).
+
+    The circuit of ``prepare_ansatz`` in float64, bit for bit: each RY
+    rotates along one axis of the state reshaped to (2^k, 2, 2^(n-1-k), B),
+    and each CNOT chain is one cached index permutation.
+    """
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    B, P = thetas.shape
+    if P != n * (reps + 1):
+        raise ArityError(f"expected {n * (reps + 1)} parameters, got {P}")
+    cos, sin = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    states = np.zeros((2 ** n, B))
+    states[0] = 1.0
+    for layer in range(reps + 1):
+        if layer:
+            states = states[_cnot_chain(n)]
+        for k in range(n):
+            c, s = cos[:, layer * n + k], sin[:, layer * n + k]
+            v = states.reshape(2 ** k, 2, -1, B)
+            a0, a1 = v[:, 0], v[:, 1]
+            v[:, 0], v[:, 1] = c * a0 - s * a1, s * a0 + c * a1
+    return states
+
+
 def shift_circuit(m: int) -> list[Gate]:
     """Increment circuit |i> -> |(i+1) mod 2^m>.
 
@@ -182,14 +218,6 @@ def shift_circuit(m: int) -> list[Gate]:
         else:
             gates.append(x(t))
     return gates
-
-
-def apply_shift(state: Statevector, times: int = 1) -> Statevector:
-    """Apply the full-register increment circuit `times` times."""
-    gates = shift_circuit(state.num_qubits)
-    for _ in range(times):
-        apply_circuit(state, gates)
-    return state
 
 
 def expectation_pauli(state: Statevector, pauli: str,
@@ -210,34 +238,19 @@ def expectation_pauli(state: Statevector, pauli: str,
         return float(np.real(np.conj(sub) @ tail @ sub))
     if len(pauli) != m:
         raise ValueError("Pauli string length must match the register")
-    x_mask = 0
-    phase_mask = 0
-    n_y = 0
-    for k, ch in enumerate(pauli):
-        bit = 1 << (m - 1 - k)
-        if ch in "XY":
-            x_mask |= bit
-        if ch in "ZY":
-            phase_mask |= bit
-        if ch == "Y":
-            n_y += 1
+    x_mask = sum(1 << (m - 1 - k) for k, ch in enumerate(pauli) if ch in "XY")
+    phase_mask = sum(1 << (m - 1 - k) for k, ch in enumerate(pauli)
+                     if ch in "ZY")
+    n_y = pauli.count("Y")
     idx = np.arange(amps.size)
-    signs = 1 - 2 * (_popcount(idx & phase_mask) & 1)
+    parity = [bin(i).count("1") & 1 for i in (idx & phase_mask).tolist()]
+    signs = 1 - 2 * np.array(parity)
     out = np.zeros_like(amps)
     out[idx ^ x_mask] = (1j ** n_y) * signs * amps
     val = np.vdot(amps, out)
     if abs(val.imag) > 1e-10:
         raise ValueError("expectation of Hermitian string came out complex")
     return float(val.real)
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(arr)
-    v = arr.copy()
-    while np.any(v):
-        counts += v & 1
-        v >>= 1
-    return counts
 
 
 def expectation_tail(state: Statevector, tail: str, prefix: Prefix) -> float:

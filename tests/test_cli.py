@@ -145,6 +145,21 @@ class TestMain:
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("problem", "num_qubits", "5"),
+        ("problem", "num_qubits", 3.5),
+        ("problem", "boundary_case", 3),
+        ("optimizer", "restarts", 0),
+        ("ansatz", "reps", -1),
+        (None, "mode", "run"),
+    ])
+    def test_bad_value_exit_two(self, tmp_path, capsys, section, key, value):
+        cfg = small_config(tmp_path)
+        (cfg if section is None else cfg[section])[key] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_two(self):
         assert main(["run", "--config", "/does/not/exist.json"]) == 2
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from vqpde import lsbt, simulator
 from vqpde.driver import (ConvergenceRecord, NearSingularEnergyError,
                           OptimizerOptions, build_context,
                           evaluate_loss, evaluate_loss_dense, extract_profile,
-                          gradient, optimize, quad_form_quantum)
+                          gradient, optimize)
 from vqpde.fem import BeamProblem, BoundaryCase, LoadKind, LoadSpec
 from vqpde.simulator import prepare_ansatz
+from vqpde.verify import quad_form_quantum
 
 
 def make_problem(case=BoundaryCase.CANTILEVER, n=3, **kw):
@@ -92,6 +96,55 @@ class TestLoss:
             fd = (evaluate_loss_dense(theta + step, ctx3).loss
                   - evaluate_loss_dense(theta - step, ctx3).loss) / (2 * h)
             assert g[k] == pytest.approx(fd, rel=1e-3, abs=1e-8)
+
+
+class TestEngineOracle:
+    """The real engine against the gate-level circuits and the dense K_mod."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), reps=st.integers(0, 4),
+           case=st.sampled_from(list(BoundaryCase)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_engine_matches_circuits_and_dense(self, n, reps, case, seed):
+        problem = make_problem(case, n)
+        # SSB/FFB at n = 2 constrain the default load's DOF.
+        assume(n > 2 or case in (BoundaryCase.CANTILEVER, BoundaryCase.PBC))
+        ctx = build_context(problem, reps)
+        theta = np.random.default_rng(seed).uniform(-np.pi, np.pi,
+                                                    ctx.n_params)
+        engine = evaluate_loss(theta, ctx)
+        gates = simulator.ansatz_gates(n, reps, theta)
+        phi = simulator.apply_circuit(simulator.Statevector.zero(n), gates)
+        vec = phi.real_vector()
+        for quad in (quad_form_quantum(ctx, phi), vec @ ctx.K_mod @ vec):
+            assert engine.quad == pytest.approx(quad, rel=1e-9, abs=1e-9)
+        overlap = simulator.overlap_term(ctx.load.vector, phi, phi_gates=gates)
+        assert engine.overlap == pytest.approx(overlap, abs=1e-9)
+        assert engine.overlap == pytest.approx(ctx.load.vector @ vec, abs=1e-9)
+
+    def test_optimize_never_applies_gates(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gate-level path used in the hot path")
+
+        for module, name in ((simulator, "apply_gate"),
+                             (simulator, "apply_circuit"),
+                             (simulator, "shift_circuit"),
+                             (lsbt, "apply_sequence")):
+            monkeypatch.setattr(module, name, forbidden)
+        record, _, breakdown = optimize(
+            make_problem(), OptimizerOptions(seed=0, restarts=2, max_iter=20),
+            reps=2)
+        assert record.iterations >= 1 and np.isfinite(breakdown.loss)
+
+    def test_stalled_start_is_redrawn(self):
+        """At this start <f|phi> ~ 0, so BFGS stops at nit 0 (status 2)."""
+        problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
+                              second_moment=1.0, num_qubits=10,
+                              boundary_case=BoundaryCase.PBC)
+        opts = OptimizerOptions(seed=430063189, restarts=1, max_iter=4,
+                                grad_tol=0.0)
+        record, _, _ = optimize(problem, opts, reps=5)
+        assert record.iterations == 4
 
 
 class TestExtractProfile:

@@ -146,12 +146,20 @@ class TestBuildStructured:
         np.testing.assert_allclose(dense, element_stiffness(1, 1, 1),
                                    atol=1e-12)
 
-    def test_bc_pairs_against_kbc(self):
-        p = problem(BoundaryCase.CANTILEVER, 3)
-        bc = p.bc()
+    @pytest.mark.parametrize("case", list(BoundaryCase))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bc_pairs_against_kbc(self, case, n):
+        self._check_pairs(problem(case, n), problem(case, n).bc())
+
+    def test_bc_pairs_custom_interior_constraints(self):
+        self._check_pairs(problem(BoundaryCase.SSB, 4), BcSpec((3, 4, 5, 9)))
+
+    @staticmethod
+    def _check_pairs(p, bc):
         _, K_bc = set_to_zero(assemble(p), bc)
         op = build_structured(p, bc)
         assert all(pp < q for pp, q, _ in op.bc_pairs)
+        assert list(op.bc_pairs) == sorted(set(op.bc_pairs))
         recon = np.zeros_like(K_bc)
         for pp, q, c in op.bc_pairs:
             recon[pp, q] = recon[q, pp] = c

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from vqpde.pauli_ops import Prefix, StructuredTerm, materialize, pauli_matrix
 from vqpde.simulator import (ArityError, Gate, Statevector, ansatz_gates,
-                             apply_circuit, apply_gate, cnot, expectation_pauli,
+                             ansatz_states, apply_circuit, apply_gate, cnot,
+                             expectation_pauli,
                              expectation_structured_term, expectation_tail, h,
                              mcx, overlap_term, prepare_ansatz, ry,
                              shift_by_two, shift_circuit, superposition_state, x)
@@ -121,6 +122,21 @@ class TestAnsatz:
         assert len(ansatz_gates(5, 5, np.zeros(30))) == 30 + 5 * 4
         with pytest.raises(ArityError):
             prepare_ansatz(5, 5, np.zeros(29))
+        with pytest.raises(ArityError):
+            ansatz_states(np.zeros((2, 29)), 5, 5)
+
+    @pytest.mark.parametrize("n,reps", [(1, 0), (2, 3), (5, 5), (8, 2)])
+    def test_real_engine_equals_gate_path(self, n, reps):
+        """One column per parameter row, bit for bit the gate-built state."""
+        rng = np.random.default_rng(n + reps)
+        thetas = rng.uniform(-np.pi, np.pi, (4, n * (reps + 1)))
+        states = ansatz_states(thetas, n, reps)
+        assert states.shape == (2 ** n, 4) and states.dtype == np.float64
+        for b, theta in enumerate(thetas):
+            np.testing.assert_array_equal(
+                states[:, b], prepare_ansatz(n, reps, theta).real_vector())
+        np.testing.assert_array_equal(ansatz_states(thetas[0], n, reps),
+                                      states[:, :1])
 
 
 class TestShiftCircuit:
