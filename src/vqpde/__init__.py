@@ -1,8 +1,8 @@
 """Variational quantum solver for FEM-discretized Euler-Bernoulli beams."""
 
 from .fem import (BcSpec, BeamProblem, BoundaryCase, LoadSpec,
-                  SingularSystemError, assemble_open, assemble_periodic,
-                  classical_solve, element_stiffness, set_to_zero)
+                  SingularSystemError, assemble, classical_solve,
+                  element_stiffness, set_to_zero)
 from .pauli_ops import (StructuredOperator, StructuredTerm, build_structured,
                         decompose_element, materialize, materialize_operator)
 from .simulator import Statevector, prepare_ansatz, shift_circuit
@@ -13,7 +13,7 @@ from .metrics import MetricsReport, accuracy, fidelity, rmse_and_normalized
 
 __all__ = [
     "BcSpec", "BeamProblem", "BoundaryCase", "LoadSpec", "SingularSystemError",
-    "assemble_open", "assemble_periodic", "classical_solve",
+    "assemble", "classical_solve",
     "element_stiffness", "set_to_zero",
     "StructuredOperator", "StructuredTerm", "build_structured",
     "decompose_element", "materialize", "materialize_operator",

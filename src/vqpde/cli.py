@@ -39,6 +39,8 @@ _TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir"}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -50,9 +52,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw, _TOP_KEYS, "config root")
     prob = raw.get("problem", {})
     _check_keys(prob, _PROBLEM_KEYS, "problem")
     _check_keys(raw.get("ansatz", {}), _ANSATZ_KEYS, "ansatz")
@@ -223,7 +223,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep":
             config = load_config(args.config)
-            qubits = [int(s) for s in args.qubits.split(",")]
+            try:
+                qubits = [int(s) for s in args.qubits.split(",")]
+            except ValueError:
+                raise ConfigError("--qubits must be comma-separated integers, "
+                                  f"got {args.qubits!r}") from None
             if any(n < 3 for n in qubits):
                 raise ConfigError("sweep qubit counts must be >= 3")
             results = run_sweep(config, qubits)

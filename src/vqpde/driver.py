@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from . import simulator
 from .fem import (BcSpec, BeamProblem, LoadSpec, assemble, check_int,
-                  check_real, classical_solve, default_load, set_to_zero)
+                  check_real, check_supports, classical_solve, default_load,
+                  set_to_zero)
 from .pauli_ops import (Prefix, StructuredOperator, build_structured,
                         pauli_matrix)
 
@@ -86,7 +88,7 @@ class ProblemContext:
     bc: BcSpec
     reps: int
     load: LoadSpec
-    K_mod: np.ndarray
+    K_mod: scipy.sparse.csr_array
     structured: StructuredOperator
     u_ref: np.ndarray
     target_energy: float
@@ -124,6 +126,7 @@ def build_context(problem: BeamProblem, reps: int,
                   bc: BcSpec | None = None) -> ProblemContext:
     check_int("reps", reps, 0)
     bc = problem.bc() if bc is None else bc
+    check_supports(problem, bc)
     load = problem.load if problem.load is not None else default_load(problem, bc)
     if np.linalg.norm(load.vector) == 0.0:
         raise ValueError("load vector must be nonzero")

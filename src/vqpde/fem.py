@@ -1,8 +1,10 @@
 """Classical FEM layer for the Euler-Bernoulli beam.
 
-Element stiffness, global assembly (open chain and periodic), load vectors,
-set-to-zero displacement boundary conditions, and a dense direct solver that
-provides reference solutions and target energies.
+Element stiffness, sparse global assembly (open chain and periodic), load
+vectors, set-to-zero displacement boundary conditions, and a sparse direct
+solve that provides reference solutions and target energies. The stiffness
+matrix is banded (half-bandwidth 3, plus the periodic corner), so it stays a
+scipy.sparse CSR matrix from assembly to the reference solve.
 
 DOF layout: node i carries deflection at index 2i and rotation at 2i+1.
 With n qubits the system has N = 2^n DOFs, i.e. N/2 nodes.
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 
 class SingularSystemError(ValueError):
@@ -192,63 +195,88 @@ def element_stiffness(E: float, I: float, l_e: float) -> np.ndarray:
     ])
 
 
-def _assemble(problem: BeamProblem, num_elements: int) -> np.ndarray:
+def assemble(problem: BeamProblem) -> scipy.sparse.csr_array:
+    """Global stiffness matrix, sparse.
+
+    Element e couples DOFs (2e + k) mod N for k = 0..3, so the periodic case's
+    extra element wraps onto node 0. The shared-node rotation couplings of
+    neighbouring elements cancel exactly; they are dropped, so every stored
+    entry is a true coupling.
+    """
     N = problem.num_dofs
     Ke = element_stiffness(problem.youngs_modulus, problem.second_moment,
                            problem.element_length)
-    K = np.zeros((N, N))
-    for e in range(num_elements):
-        dofs = [(2 * e + k) % N for k in range(4)]
-        K[np.ix_(dofs, dofs)] += Ke
+    E = problem.num_elements
+    dofs = (2 * np.arange(E)[:, None] + np.arange(4)) % N
+    rows = np.repeat(dofs, 4, axis=1).ravel()
+    cols = np.tile(dofs, (1, 4)).ravel()
+    K = scipy.sparse.coo_array((np.tile(Ke.ravel(), E), (rows, cols)),
+                               shape=(N, N)).tocsr()
+    K.eliminate_zeros()
     return K
 
 
-def assemble_open(problem: BeamProblem) -> np.ndarray:
-    """Open-chain global stiffness: nodes-1 elements at DOF offsets 0,2,4,..."""
-    return _assemble(problem, problem.num_nodes - 1)
+def check_supports(problem: BeamProblem, bc: BcSpec) -> None:
+    """Reject constraints that leave the set-to-zero system singular.
 
-
-def assemble_periodic(problem: BeamProblem) -> np.ndarray:
-    """Periodic global stiffness: one extra element wrapping the chain."""
-    if problem.boundary_case is not BoundaryCase.PBC:
-        raise ValueError("periodic assembly requires the PBC boundary case")
-    return _assemble(problem, problem.num_nodes)
-
-
-def assemble(problem: BeamProblem) -> np.ndarray:
+    Raises ValueError for a constrained DOF outside the system. The
+    unconstrained beam moves freely by translation (w = 1) and, on an open
+    chain, by rotation (w = x, theta = 1); set-to-zero leaves K_mod singular
+    exactly when some combination of these modes vanishes on every
+    constrained DOF, which raises SingularSystemError.
+    """
+    dofs = list(bc.constrained_dofs)
+    if dofs and dofs[-1] >= problem.num_dofs:
+        raise ValueError(f"constrained DOF {dofs[-1]} is outside the "
+                         f"{problem.num_dofs}-DOF system")
+    modes = np.zeros((problem.num_dofs, 2))  # translation, rotation
+    modes[0::2, 0] = 1.0
+    modes[0::2, 1] = np.arange(problem.num_nodes) * problem.element_length
+    modes[1::2, 1] = 1.0
     if problem.boundary_case is BoundaryCase.PBC:
-        return assemble_periodic(problem)
-    return assemble_open(problem)
+        modes = modes[:, :1]
+    if np.linalg.matrix_rank(modes[dofs]) < modes.shape[1]:
+        raise SingularSystemError(
+            f"constraints {bc.constrained_dofs} leave a rigid-body mode free")
 
 
-def set_to_zero(K: np.ndarray, bc: BcSpec) -> tuple[np.ndarray, np.ndarray]:
+def set_to_zero(K, bc: BcSpec
+                ) -> tuple[scipy.sparse.csr_array, scipy.sparse.csr_array]:
     """Zero the off-diagonal entries of constrained rows/columns.
 
-    Returns (K_mod, K_bc) with K_bc = K_mod - K; diagonals are untouched.
+    Returns sparse (K_mod, K_bc) with K_bc = K_mod - K; diagonals are
+    untouched. The stored entries of K_bc are the removed couplings, which
+    become the boundary pair observables.
     """
-    K = np.asarray(K, dtype=float)
-    K_mod = K.copy()
-    for d in bc.constrained_dofs:
-        diag = K_mod[d, d]
-        K_mod[d, :] = 0.0
-        K_mod[:, d] = 0.0
-        K_mod[d, d] = diag
+    K = scipy.sparse.csr_array(K, dtype=float)
+    keep = np.ones(K.shape[0])
+    keep[list(bc.constrained_dofs)] = 0.0
+    D = scipy.sparse.diags_array(keep)
+    K_mod = D @ K @ D + scipy.sparse.diags_array(K.diagonal() * (1.0 - keep))
     return K_mod, K_mod - K
 
 
-def classical_solve(K_mod: np.ndarray, load: LoadSpec) -> tuple[np.ndarray, float]:
-    """Solve K_mod u = f by Cholesky; return (u, -f.u/2).
+def classical_solve(K_mod, load: LoadSpec) -> tuple[np.ndarray, float]:
+    """Solve K_mod u = f by a sparse direct solve; return (u, -f.u/2).
 
     The energy is the minimum of the discretized potential
-    0.5 u'Ku - f.u, attained at the solution.
+    0.5 u'Ku - f.u, attained at the solution. The LU factorization keeps the
+    natural order and pivots on the diagonal only; for a symmetric matrix the
+    U diagonal then holds the Cholesky pivots, so K_mod is positive definite
+    exactly when no row is pivoted and every pivot is positive.
     """
     f = load.vector
+    not_pd = ("constrained stiffness matrix is not positive definite "
+              "(periodic case without an anchor?)")
     try:
-        cho = scipy.linalg.cho_factor(K_mod)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            "constrained stiffness matrix is not positive definite "
-            "(periodic case without an anchor?)") from exc
-    u = scipy.linalg.cho_solve(cho, f)
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array(K_mod, dtype=float),
+                                      permc_spec="NATURAL",
+                                      diag_pivot_thresh=0.0)
+    except RuntimeError as exc:  # SuperLU: factor is exactly singular
+        raise SingularSystemError(not_pd) from exc
+    if (not np.array_equal(lu.perm_r, lu.perm_c)
+            or not np.all(lu.U.diagonal() > 0.0)):
+        raise SingularSystemError(not_pd)
+    u = lu.solve(f)
     energy = -0.5 * float(f @ u)
     return u, energy

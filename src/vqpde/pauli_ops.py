@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse
 
-from .fem import BcSpec, BeamProblem, BoundaryCase, assemble, element_stiffness
+from .fem import (BcSpec, BeamProblem, BoundaryCase, assemble,
+                  element_stiffness, set_to_zero)
 
 
 class DecompositionResidualError(ValueError):
@@ -107,8 +109,9 @@ def decompose_element(Ke: np.ndarray) -> list[tuple[float, str]]:
     no complex Pauli matrices and no lazily built state, so a first call costs
     the same as any other. Returns ``(coefficient, label)`` pairs in
     ``ELEMENT_BASIS`` order. Raises ``DecompositionResidualError`` if the six
-    terms do not reconstruct the input to 1e-10 in every entry (including
-    non-finite input), which means it is outside the beam family.
+    terms do not reconstruct every entry to within 1e-10 of the largest
+    |entry| (including non-finite input), which means it is outside the beam
+    family. The bound is relative because the entries scale as E I / l_e^3.
     """
     Ke = np.asarray(Ke, dtype=float)
     if Ke.shape != (4, 4):
@@ -122,10 +125,11 @@ def decompose_element(Ke: np.ndarray) -> list[tuple[float, str]]:
         coeffs.append((c, label))
         for r in range(4):
             recon[r][col[r]] += sign[r] * c
-    if not all(abs(recon[r][j] - k[r][j]) <= 1e-10
+    tol = 1e-10 * max(abs(v) for row in k for v in row)
+    if not all(abs(recon[r][j] - k[r][j]) <= tol
                for r in range(4) for j in range(4)):
         raise DecompositionResidualError(
-            "six-term reconstruction residual exceeds 1e-10")
+            "six-term reconstruction residual exceeds 1e-10 of max |Ke|")
     return coeffs
 
 
@@ -135,7 +139,9 @@ def build_structured(problem: BeamProblem, bc: BcSpec, *,
 
     Open chain: aligned blocks + shifted blocks - shifted projector-prefixed
     wraparound block (6 terms each, 18 total). Periodic: the wraparound block
-    is a real element, so the correction is omitted (12 terms).
+    is a real element, so the correction is omitted (12 terms). Each coupling
+    that ``set_to_zero`` removes, an upper-triangle entry (p, q, c) of K_bc,
+    becomes one boundary pair observable.
 
     ``flip_k2_sign`` is a debug-only negative control for the verification
     oracles.
@@ -155,12 +161,9 @@ def build_structured(problem: BeamProblem, bc: BcSpec, *,
             terms.append(StructuredTerm(c, Prefix.ZERO_PROJECTOR, tail,
                                         shift=2, sign=k2_sign))
 
-    # set_to_zero removes exactly the couplings K[d, j], j != d, of each
-    # constrained DOF d; each becomes the pair observable -K[d, j].
-    K = assemble(problem)
-    pairs = sorted({(min(d, j), max(d, j), -float(K[d, j]))
-                    for d in bc.constrained_dofs
-                    for j in np.flatnonzero(K[d]).tolist() if j != d})
+    K_bc = scipy.sparse.triu(set_to_zero(assemble(problem), bc)[1], k=1).tocoo()
+    pairs = sorted(zip(K_bc.row.tolist(), K_bc.col.tolist(),
+                       K_bc.data.tolist()))
     return StructuredOperator(problem.num_qubits, tuple(terms), tuple(pairs))
 
 

@@ -197,7 +197,11 @@ def ansatz_states(thetas: np.ndarray, n: int, reps: int) -> np.ndarray:
             c, s = cos[:, layer * n + k], sin[:, layer * n + k]
             v = states.reshape(2 ** k, 2, -1, B)
             a0, a1 = v[:, 0], v[:, 1]
-            v[:, 0], v[:, 1] = c * a0 - s * a1, s * a0 + c * a1
+            t = s * a1
+            a1 *= c
+            a1 += s * a0
+            a0 *= c
+            a0 -= t
     return states
 
 

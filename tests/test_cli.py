@@ -160,12 +160,28 @@ class TestMain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,value", [
+        ("problem", 3), ("optimizer", [1]), ("ansatz", "x"),
+    ])
+    def test_section_not_object_exit_two(self, tmp_path, capsys, section,
+                                         value):
+        cfg = small_config(tmp_path)
+        cfg[section] = value
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
     def test_missing_config_exit_two(self):
         assert main(["run", "--config", "/does/not/exist.json"]) == 2
 
     def test_sweep_rejects_small_qubits(self, tmp_path):
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", path, "--qubits", "2,3"]) == 2
+
+    @pytest.mark.parametrize("qubits", ["a,b", ""])
+    def test_sweep_rejects_non_integer_qubits(self, tmp_path, capsys, qubits):
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", qubits]) == 2
+        assert "--qubits" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify"]) == 0

@@ -8,7 +8,8 @@ from vqpde.driver import (ConvergenceRecord, NearSingularEnergyError,
                           OptimizerOptions, build_context,
                           evaluate_loss, evaluate_loss_dense, extract_profile,
                           gradient, optimize)
-from vqpde.fem import BeamProblem, BoundaryCase, LoadKind, LoadSpec
+from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind, LoadSpec,
+                       SingularSystemError)
 from vqpde.simulator import prepare_ansatz
 from vqpde.verify import quad_form_quantum
 
@@ -28,9 +29,41 @@ class TestBuildContext:
     @pytest.mark.parametrize("case", list(BoundaryCase))
     def test_target_energy_matches_direct_solve(self, case):
         ctx = build_context(make_problem(case), reps=2)
-        u = np.linalg.solve(ctx.K_mod, ctx.load.vector)
+        u = np.linalg.solve(ctx.K_mod.toarray(), ctx.load.vector)
         expected = -0.5 * float(ctx.load.vector @ u)
         assert ctx.target_energy == pytest.approx(expected, rel=1e-10)
+
+    def test_three_metre_beam_builds(self):
+        ctx = build_context(make_problem(n=6, length=3.0,
+                                         youngs_modulus=1000.0), reps=1)
+        assert len(ctx.structured.terms) == 18 and ctx.target_energy < 0
+
+    # Constraints that leave a rigid-body mode free: translation for every
+    # case, and rotation about the one held deflection on an open chain.
+    @pytest.mark.parametrize("case,dofs", [
+        (BoundaryCase.PBC, ()), (BoundaryCase.PBC, (1,)),
+        (BoundaryCase.SSB, ()), (BoundaryCase.SSB, (0,)),
+        (BoundaryCase.CANTILEVER, (2,)),
+    ])
+    def test_singular_constraints_rejected(self, case, dofs):
+        for n in range(3, 11):
+            for length in (1.0, 3.0, 10.0):
+                problem = make_problem(case, n, length=length,
+                                       youngs_modulus=1000.0)
+                with pytest.raises(SingularSystemError):
+                    build_context(problem, reps=0, bc=BcSpec(dofs))
+
+    def test_supported_constraints_accepted(self):
+        for n in range(4, 14):
+            for case in BoundaryCase:
+                build_context(make_problem(case, n, length=10.0), reps=0)
+            build_context(make_problem(BoundaryCase.SSB, n, length=10.0),
+                          reps=0, bc=BcSpec((3, 4, 5, 9)))
+
+    def test_constrained_dof_out_of_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            build_context(make_problem(BoundaryCase.SSB, 3), reps=0,
+                          bc=BcSpec((3, 4, 5, 9)))
 
     def test_load_is_normalized(self, ctx3):
         assert np.linalg.norm(ctx3.load.vector) == pytest.approx(1.0)
@@ -82,7 +115,7 @@ class TestLoss:
         ctx = build_context(make_problem(BoundaryCase.CANTILEVER), reps=0)
         # The constrained operator is positive definite, so the guard can only
         # trip on a degenerate system; emulate one through the dense path.
-        bad = dataclasses.replace(ctx, K_mod=np.zeros_like(ctx.K_mod))
+        bad = dataclasses.replace(ctx, K_mod=0.0 * ctx.K_mod)
         with pytest.raises(NearSingularEnergyError):
             evaluate_loss_dense(np.zeros(3), bad)
 

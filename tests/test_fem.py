@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind,
-                       SingularSystemError, assemble_open, assemble_periodic,
-                       classical_solve, default_load, element_stiffness,
-                       normalize_load, set_to_zero)
+                       SingularSystemError, assemble, classical_solve,
+                       default_load, element_stiffness, normalize_load,
+                       set_to_zero)
 
 KE_UNIT = np.array([
     [12, 6, -12, 6],
@@ -85,7 +85,7 @@ class TestElementStiffness:
 
 class TestAssembly:
     def test_n3_matches_appendix_block(self):
-        K = assemble_open(unit_problem(BoundaryCase.CANTILEVER, 3))
+        K = assemble(unit_problem(BoundaryCase.CANTILEVER, 3)).toarray()
         expected_top = np.array([
             [12, 6, -12, 6, 0, 0],
             [6, 4, -6, 2, 0, 0],
@@ -99,26 +99,26 @@ class TestAssembly:
         assert K[2, 2] == 24 and K[4, 4] == 24
 
     def test_n2_single_element(self):
-        K = assemble_open(unit_problem(BoundaryCase.CANTILEVER, 2))
+        K = assemble(unit_problem(BoundaryCase.CANTILEVER, 2)).toarray()
         np.testing.assert_array_equal(K, KE_UNIT)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_open_matches_loop_oracle(self, n):
         p = problem(BoundaryCase.CANTILEVER, n, L=3.7, E=12.0, I=0.4)
-        np.testing.assert_allclose(assemble_open(p),
+        np.testing.assert_allclose(assemble(p).toarray(),
                                    assemble_oracle(p, p.num_nodes - 1),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_periodic_matches_loop_oracle(self, n):
         p = problem(BoundaryCase.PBC, n, L=2.5)
-        np.testing.assert_allclose(assemble_periodic(p),
+        np.testing.assert_allclose(assemble(p).toarray(),
                                    assemble_oracle(p, p.num_nodes),
                                    atol=1e-12)
 
     def test_periodic_wraparound_block(self):
         p = unit_problem(BoundaryCase.PBC, 3)
-        K = assemble_periodic(p)
+        K = assemble(p).toarray()
         Ko = assemble_oracle(p, p.num_nodes - 1)
         wrap = K - Ko
         Ke = element_stiffness(1, 1, 1)
@@ -129,7 +129,7 @@ class TestAssembly:
     def test_periodic_translation_null_vector(self):
         for n in (2, 3, 4):
             p = problem(BoundaryCase.PBC, n)
-            K = assemble_periodic(p)
+            K = assemble(p).toarray()
             v = np.zeros(p.num_dofs)
             v[0::2] = 1.0
             assert np.linalg.norm(K @ v) <= 1e-9 * np.linalg.norm(K)
@@ -137,7 +137,7 @@ class TestAssembly:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_open_rigid_modes(self, n):
         p = problem(BoundaryCase.CANTILEVER, n, L=4.0)
-        K = assemble_open(p)
+        K = assemble(p).toarray()
         translation = np.zeros(p.num_dofs)
         translation[0::2] = 1.0
         rotation = np.zeros(p.num_dofs)
@@ -149,7 +149,7 @@ class TestAssembly:
     def test_symmetry(self):
         for case in BoundaryCase:
             p = problem(case, 4)
-            K = assemble_periodic(p) if case is BoundaryCase.PBC else assemble_open(p)
+            K = assemble(p).toarray()
             np.testing.assert_allclose(K, K.T, atol=1e-12)
 
 
@@ -163,7 +163,7 @@ class TestSetToZero:
             [0, 0, -12, -6, 12, -6],
             [0, 0, 6, 2, -6, 4],
         ], dtype=float)
-        K_mod, K_bc = set_to_zero(K0, BcSpec((0, 1)))
+        K_mod, K_bc = (M.toarray() for M in set_to_zero(K0, BcSpec((0, 1))))
         expected_mod = K0.copy()
         expected_mod[0, 1:] = 0
         expected_mod[1:, 0] = 0
@@ -178,7 +178,7 @@ class TestSetToZero:
     def test_empty_bc(self):
         K = np.arange(16.0).reshape(4, 4)
         K = K + K.T
-        K_mod, K_bc = set_to_zero(K, BcSpec(()))
+        K_mod, K_bc = (M.toarray() for M in set_to_zero(K, BcSpec(())))
         np.testing.assert_array_equal(K_mod, K)
         np.testing.assert_array_equal(K_bc, 0 * K)
 
@@ -189,13 +189,13 @@ class TestSetToZero:
         A = rng.normal(size=(8, 8))
         K = A + A.T
         bc = BcSpec(tuple(sorted({d1, d2})))
-        K_mod, _ = set_to_zero(K, bc)
+        K_mod = set_to_zero(K, bc)[0].toarray()
         expected = np.array([
             [K[i, j] if (i == j or (i not in bc.constrained_dofs
                                     and j not in bc.constrained_dofs)) else 0.0
              for j in range(8)] for i in range(8)])
         np.testing.assert_array_equal(K_mod, expected)
-        K_mod2, K_bc2 = set_to_zero(K_mod, bc)
+        K_mod2, K_bc2 = (M.toarray() for M in set_to_zero(K_mod, bc))
         np.testing.assert_array_equal(K_mod2, K_mod)
         assert np.all(K_bc2 == 0)
 
@@ -205,9 +205,9 @@ class TestBoundaryCases:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_constrained_matrix_is_spd(self, case, n):
         p = problem(case, n, L=2.0)
-        K = assemble_periodic(p) if case is BoundaryCase.PBC else assemble_open(p)
+        K = assemble(p)
         K_mod, _ = set_to_zero(K, p.bc())
-        assert np.min(np.linalg.eigvalsh(K_mod)) > 0
+        assert np.min(np.linalg.eigvalsh(K_mod.toarray())) > 0
 
     def test_bc_dof_sets(self):
         assert BcSpec.for_case(BoundaryCase.CANTILEVER, 32).constrained_dofs == (0, 1)
@@ -259,7 +259,7 @@ class TestClassicalSolve:
         # w(x) = F x^2 (3L - x) / (6 E I).
         p = problem(BoundaryCase.CANTILEVER, 3, L=2.0, E=10.0, I=0.5)
         bc = p.bc()
-        K_mod, _ = set_to_zero(assemble_open(p), bc)
+        K_mod, _ = set_to_zero(assemble(p), bc)
         raw = np.zeros(p.num_dofs)
         raw[p.num_dofs - 2] = 1.0
         load = normalize_load(raw, bc)
@@ -274,17 +274,50 @@ class TestClassicalSolve:
 
     def test_pbc_without_anchor_is_singular(self):
         p = problem(BoundaryCase.PBC, 3)
-        K = assemble_periodic(p)
+        K = assemble(p)
         raw = np.zeros(p.num_dofs)
         raw[2] = 1.0
         with pytest.raises(SingularSystemError):
             classical_solve(K, normalize_load(raw, BcSpec(())))
 
+    # A negative pivot, a zero diagonal that needs a row swap, and an exactly
+    # singular factor.
+    @pytest.mark.parametrize("K", [[[1.0, 2.0], [2.0, 1.0]],
+                                   [[0.0, 1.0], [1.0, 0.0]],
+                                   [[1.0, 1.0], [1.0, 1.0]]])
+    def test_not_positive_definite_rejected(self, K):
+        load = normalize_load(np.array([1.0, 0.0]), BcSpec(()))
+        with pytest.raises(SingularSystemError):
+            classical_solve(np.array(K), load)
+
+    @pytest.mark.parametrize("case", list(BoundaryCase))
+    @pytest.mark.parametrize("n", [3, 6, 9, 12])
+    def test_energy_matches_closed_form(self, case, n):
+        # Hermite elements are nodally exact, so -f.u/2 under the default unit
+        # load equals the Euler-Bernoulli energy: tip load on the cantilever,
+        # load at a = the coordinate of node num_nodes // 2 (b = L - a) on the
+        # simply supported and fixed-fixed beams, and on the anchored periodic
+        # beam a clamped-clamped span L loaded at its middle.
+        p = problem(case, n, L=10.0, E=1000.0)
+        bc = p.bc()
+        K_mod, _ = set_to_zero(assemble(p), bc)
+        _, energy = classical_solve(K_mod, default_load(p, bc))
+        L, EI = p.length, p.youngs_modulus * p.second_moment
+        a = (p.num_nodes // 2) * p.element_length
+        b = L - a
+        expected = {
+            BoundaryCase.CANTILEVER: -L ** 3 / (6 * EI),
+            BoundaryCase.SSB: -a ** 2 * b ** 2 / (6 * EI * L),
+            BoundaryCase.FFB: -a ** 3 * b ** 3 / (6 * EI * L ** 3),
+            BoundaryCase.PBC: -L ** 3 / (384 * EI),
+        }[case]
+        assert energy == pytest.approx(expected, rel=1e-3)
+
     @pytest.mark.parametrize("case", list(BoundaryCase))
     def test_residual(self, case):
         p = problem(case, 4, L=3.0)
         bc = p.bc()
-        K = assemble_periodic(p) if case is BoundaryCase.PBC else assemble_open(p)
+        K = assemble(p)
         K_mod, _ = set_to_zero(K, bc)
         load = default_load(p, bc)
         u, energy = classical_solve(K_mod, load)

@@ -71,6 +71,20 @@ class TestDecomposeElement:
         for c, label in got:
             assert c == pytest.approx(oracle[label], rel=1e-12, abs=1e-12)
 
+    # (L, E, n) of cantilever elements whose entries reach E I / l_e^3 in the
+    # thousands or far beyond: an absolute residual bound rejected them all.
+    @pytest.mark.parametrize("L,E,n", [
+        (3.0, 1e3, 6), (3.0, 1e3, 8), (3.0, 1e3, 10),
+        (0.1, 1e3, 8), (0.1, 1e3, 9), (0.1, 1e3, 13),
+        (10.0, 2e11, 3), (10.0, 2e11, 4), (10.0, 2e11, 13),
+        (1.0, 1e3, 16), (1.0, 1e3, 20), (3.0, 2e11, 2),
+    ])
+    def test_realistic_beams_decompose(self, L, E, n):
+        p = problem(BoundaryCase.CANTILEVER, n, length=L, youngs_modulus=E)
+        Ke = element_stiffness(E, 1.0, p.element_length)
+        recon = sum(c * pauli_matrix(l).real for c, l in decompose_element(Ke))
+        assert np.max(np.abs(recon - Ke)) <= 1e-12 * np.max(np.abs(Ke))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         M = element_stiffness(1, 1, 1)
@@ -160,10 +174,10 @@ class TestBuildStructured:
         op = build_structured(p, bc)
         assert all(pp < q for pp, q, _ in op.bc_pairs)
         assert list(op.bc_pairs) == sorted(set(op.bc_pairs))
-        recon = np.zeros_like(K_bc)
+        recon = np.zeros(K_bc.shape)
         for pp, q, c in op.bc_pairs:
             recon[pp, q] = recon[q, pp] = c
-        np.testing.assert_array_equal(recon, K_bc)
+        np.testing.assert_array_equal(recon, K_bc.toarray())
 
     def test_flip_k2_negative_control(self):
         p = problem(BoundaryCase.CANTILEVER, 3)
