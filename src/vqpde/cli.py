@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
                  "boundary_case"}
 _ANSATZ_KEYS = {"reps"}
-_OPTIMIZER_KEYS = {"seed", "restarts", "max_iter", "grad_tol", "fd_step"}
+_OPTIMIZER_KEYS = {"seed", "restarts", "max_iter", "grad_tol"}
 _TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir"}
 
 
@@ -57,6 +57,9 @@ def load_config(path: str) -> dict:
     _check_keys(prob, _PROBLEM_KEYS, "problem")
     _check_keys(raw.get("ansatz", {}), _ANSATZ_KEYS, "ansatz")
     _check_keys(raw.get("optimizer", {}), _OPTIMIZER_KEYS, "optimizer")
+    out = raw.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
     n = prob.get("num_qubits")
     if isinstance(n, int) and not isinstance(n, bool) and n < 3:
         raise ConfigError("CLI-level problems require at least 3 qubits")

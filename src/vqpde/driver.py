@@ -1,19 +1,20 @@
 """Variational minimization of the discretized beam energy.
 
 The loss for a trial state phi(theta) is -overlap^2 / (2 quad) with
-quad = <phi|K_mod|phi> evaluated from the structured terms plus the
-boundary-pair observables, and overlap = <f,phi| X (x) I |f,phi>. The scale
+quad = <phi|K_mod|phi> and overlap = <f,phi| X (x) I |f,phi>. The scale
 factor c* = overlap/quad is closed-form, so only theta is optimized (BFGS
 with central-difference gradients).
 
 The loss, the gradient and the final state all come from one real float64
-engine, ``simulator.ansatz_states``, read by ``observables``. The gate-level
-circuits are the oracle for those reads, used by ``verify.py`` and the tests.
+engine, ``simulator.ansatz_states``, read by ``observables`` against the one
+sparse ``K_mod``. The paper's measurement recipe for quad, the structured
+Pauli terms plus one LSBT pair observable per removed coupling, and the
+ancilla overlap circuit are the gate-level oracles for those reads, checked
+against ``K_mod`` by ``verify.py`` and the tests.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,7 @@ from . import simulator
 from .fem import (BcSpec, BeamProblem, LoadSpec, assemble, check_int,
                   check_real, check_supports, classical_solve, default_load,
                   set_to_zero)
-from .pauli_ops import (Prefix, StructuredOperator, build_structured,
-                        pauli_matrix)
+from .pauli_ops import StructuredOperator, build_structured
 
 
 class NearSingularEnergyError(ValueError):
@@ -42,14 +42,12 @@ class OptimizerOptions:
     restarts: int = 5
     max_iter: int = 2000
     grad_tol: float = 1e-8
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         check_int("seed", self.seed, 0)
         check_int("restarts", self.restarts, 1)
         check_int("max_iter", self.max_iter, 0)
         check_real("grad_tol", self.grad_tol, positive=False)
-        check_real("fd_step", self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -106,21 +104,6 @@ class ProblemContext:
         # One circuit per structured term, one per bc pair, one overlap circuit.
         return len(self.structured.terms) + len(self.structured.bc_pairs) + 1
 
-    @functools.cached_property
-    def grouped_tails(self) -> dict:
-        """Structured terms summed into one 4x4 tail per (prefix, shift)."""
-        tails: dict = {}
-        for term in self.structured.terms:
-            acc = tails.setdefault((term.prefix, term.shift), np.zeros((4, 4)))
-            acc += term.sign * term.coefficient * pauli_matrix(term.tail).real
-        return tails
-
-    @functools.cached_property
-    def pair_reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boundary pairs as index arrays p, q and weights 2c."""
-        p, q, c = np.array(self.structured.bc_pairs).reshape(-1, 3).T
-        return p.astype(int), q.astype(int), 2.0 * c
-
 
 def build_context(problem: BeamProblem, reps: int,
                   bc: BcSpec | None = None) -> ProblemContext:
@@ -161,23 +144,12 @@ def observables(thetas: np.ndarray, ctx: ProblemContext
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trial states, quad and overlap for each row of ``thetas``.
 
-    Reads the paper's observables from the real engine's (2^n, B) states:
-    the structured terms as one 4x4 tail per (prefix, shift), the shift-by-2
-    as a roll by two basis states, each boundary pair (p, q, c) as
-    2c phi[p] phi[q] (what the LSBT basis change moves onto the top two
-    amplitudes), and the overlap as <f|phi>.
+    Reads the real engine's (2^n, B) states against the sparse K_mod, quad as
+    <phi|K_mod|phi> and the overlap as <f|phi>. The structured terms and the
+    LSBT pairs measure the same quad on hardware; they are the oracle here.
     """
     states = simulator.ansatz_states(thetas, ctx.n_qubits, ctx.reps)
-    N, B = states.shape
-    shifted = np.roll(states, 2, axis=0)
-    quad = np.zeros(B)
-    for (prefix, shift), tail in ctx.grouped_tails.items():
-        blocks = (shifted if shift else states).reshape(N // 4, 4, B)
-        if prefix is Prefix.ZERO_PROJECTOR:
-            blocks = blocks[:1]
-        quad += np.einsum("gib,ij,gjb->b", blocks, tail, blocks)
-    p, q, w = ctx.pair_reads
-    quad += w @ (states[p] * states[q])
+    quad = np.einsum("ib,ib->b", states, ctx.K_mod @ states)
     if np.any(quad <= 1e-12):
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return states, quad, ctx.load.vector @ states
@@ -222,7 +194,7 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
 
     def jac(th):
         nonlocal last_grad_norm
-        g = gradient(th, ctx, opts.fd_step)
+        g = gradient(th, ctx)
         last_grad_norm = float(np.max(np.abs(g)))
         return g
 

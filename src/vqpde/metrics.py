@@ -15,7 +15,7 @@ class NRMSEUndefinedError(ValueError):
 class MetricsReport:
     accuracy_pct: float
     relative_error: float
-    rmse_objective: float
+    rmse_objective: float | None  # None when the loss history is empty
     rmse_deflection: float
     rmse_rotation: float
     nrmse_deflection_pct: float
@@ -70,7 +70,8 @@ def build_report(target_energy: float, predicted_energy: float,
                  state_pred, state_ref) -> MetricsReport:
     acc, rel = accuracy(target_energy, predicted_energy)
     # Objective RMSE: deviation of the convergence history from the target line.
-    obj_rmse = rmse(loss_history, np.full(len(loss_history), target_energy))
+    obj_rmse = (rmse(loss_history, np.full(len(loss_history), target_energy))
+                if len(loss_history) else None)
     d_rmse, d_nrmse = rmse_and_normalized(deflection_pred, deflection_ref)
     r_rmse, r_nrmse = rmse_and_normalized(rotation_pred, rotation_ref)
     return MetricsReport(

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -22,6 +23,12 @@ def small_config(tmp_path, **overrides):
         else:
             cfg[key] = val
     return cfg
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -138,6 +145,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert "relative_error" in out
 
+    def test_zero_iteration_run_writes_strict_json(self, tmp_path, capsys):
+        # BFGS stops this run after 0 iterations under the absolute grad_tol,
+        # so the loss history is empty and rmse_objective has no value.
+        cfg = small_config(
+            tmp_path, problem={"length": 3.0, "youngs_modulus": 1000.0,
+                               "num_qubits": 6, "boundary_case": "ssb"},
+            optimizer={"seed": 0, "restarts": 1})
+        cfg["optimizer"].pop("max_iter")
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", path]) == 0
+        printed = _strict_loads(capsys.readouterr().out)
+        result = _strict_loads((tmp_path / "out" / "result.json").read_text())
+        assert printed == result["metrics"]
+        assert result["convergence"]["loss_history"] == []
+        assert printed["rmse_objective"] is None
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         cfg["bogus"] = 1
@@ -152,6 +177,9 @@ class TestMain:
         ("optimizer", "restarts", 0),
         ("ansatz", "reps", -1),
         (None, "mode", "run"),
+        ("optimizer", "fd_step", 1e-6),
+        (None, "output_dir", 3),
+        (None, "output_dir", None),
     ])
     def test_bad_value_exit_two(self, tmp_path, capsys, section, key, value):
         cfg = small_config(tmp_path)

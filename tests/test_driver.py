@@ -113,11 +113,12 @@ class TestLoss:
     def test_collapsed_quadratic_form_raises(self):
         import dataclasses
         ctx = build_context(make_problem(BoundaryCase.CANTILEVER), reps=0)
-        # The constrained operator is positive definite, so the guard can only
-        # trip on a degenerate system; emulate one through the dense path.
+        # The constrained operator is positive definite, so the guards can only
+        # trip on a degenerate system; both paths read the same K_mod.
         bad = dataclasses.replace(ctx, K_mod=0.0 * ctx.K_mod)
-        with pytest.raises(NearSingularEnergyError):
-            evaluate_loss_dense(np.zeros(3), bad)
+        for path in (evaluate_loss_dense, evaluate_loss, gradient):
+            with pytest.raises(NearSingularEnergyError):
+                path(np.zeros(3), bad)
 
     def test_gradient_against_coarse_differences(self, ctx3):
         theta = np.linspace(-1.0, 1.0, ctx3.n_params)

@@ -111,6 +111,15 @@ class TestBuildReport:
         expected = np.sqrt(np.mean((np.array([-0.5, -0.7, -0.9]) + 1.0) ** 2))
         assert report.rmse_objective == pytest.approx(expected)
 
+    def test_empty_history_has_no_objective_rmse(self, recwarn):
+        report = build_report(
+            target_energy=-1.0, predicted_energy=-0.9, loss_history=[],
+            deflection_pred=[0.0, 1.0], deflection_ref=[0.0, 1.0],
+            rotation_pred=[0.0, 0.5], rotation_ref=[0.0, 0.5],
+            state_pred=[0.0, 0.0, 1.0, 0.5], state_ref=[0.0, 0.0, 1.0, 0.5])
+        assert report.rmse_objective is None
+        assert len(recwarn) == 0
+
     def test_to_dict_round_trip(self):
         report = build_report(
             target_energy=-1.0, predicted_energy=-0.95,
