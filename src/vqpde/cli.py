@@ -128,6 +128,8 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
             "function_evals": record.function_evals,
             "n_q": record.n_q,
             "restart_index": record.restart_index,
+            "status": record.status,
+            "message": record.message,
             "restart_final_losses": record.restart_final_losses,
             "loss_history": record.loss_history,
             "theta_final": record.theta_final.tolist(),

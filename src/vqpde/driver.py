@@ -3,7 +3,7 @@
 The loss for a trial state phi(theta) is -overlap^2 / (2 quad) with
 quad = <phi|K_mod|phi> and overlap = <f,phi| X (x) I |f,phi>. The scale
 factor c* = overlap/quad is closed-form, so only theta is optimized (BFGS
-with central-difference gradients).
+with exact parameter-shift gradients).
 
 The loss, the gradient and the final state all come from one real float64
 engine, ``simulator.ansatz_states``, read by ``observables`` against the one
@@ -68,6 +68,8 @@ class ConvergenceRecord:
     function_evals: int
     restart_index: int
     restart_final_losses: list[float]
+    status: int   # scipy's BFGS status of the chosen restart
+    message: str
 
 
 @dataclass
@@ -113,8 +115,8 @@ def build_context(problem: BeamProblem, reps: int,
     load = problem.load if problem.load is not None else default_load(problem, bc)
     if np.linalg.norm(load.vector) == 0.0:
         raise ValueError("load vector must be nonzero")
-    K_mod, _ = set_to_zero(assemble(problem), bc)
-    structured = build_structured(problem, bc)
+    K_mod, K_bc = set_to_zero(assemble(problem), bc)
+    structured = build_structured(problem, K_bc)
     u_ref, target_energy = classical_solve(K_mod, load)
     return ProblemContext(problem, bc, reps, load, K_mod,
                           structured, u_ref, target_energy)
@@ -155,17 +157,22 @@ def observables(thetas: np.ndarray, ctx: ProblemContext
     return states, quad, ctx.load.vector @ states
 
 
-def gradient(theta: np.ndarray, ctx: ProblemContext,
-             h: float = 1e-6) -> np.ndarray:
-    """Central-difference loss gradient, all probes in one engine call."""
+def gradient(theta: np.ndarray, ctx: ProblemContext) -> np.ndarray:
+    """Exact loss gradient by the parameter shift, in one engine call.
+
+    Each angle sits in one RY gate and dRY(t)/dt = RY(t + pi)/2, so
+    dphi/dtheta_k = phi(theta + pi e_k)/2. Row 0 of the batch is theta, row k
+    is theta + pi e_k, and g_k = lam . phi_k / 2 with
+    lam = dL/dphi = (o/q)((o/q) K_mod phi - f).
+    """
     theta = np.asarray(theta, dtype=float)
     P = theta.size
-    probes = np.repeat(theta[None, :], 2 * P, axis=0)
-    probes[np.arange(P), np.arange(P)] += h
-    probes[P + np.arange(P), np.arange(P)] -= h
-    _, quad, overlap = observables(probes, ctx)
-    losses = -overlap ** 2 / (2.0 * quad)
-    return (losses[:P] - losses[P:]) / (2.0 * h)
+    rows = np.repeat(theta[None, :], P + 1, axis=0)
+    rows[np.arange(1, P + 1), np.arange(P)] += np.pi
+    states, quad, overlap = observables(rows, ctx)
+    c = overlap[0] / quad[0]
+    lam = c * (c * (ctx.K_mod @ states[:, 0]) - ctx.load.vector)
+    return 0.5 * (lam @ states[:, 1:])
 
 
 def extract_profile(ctx: ProblemContext, breakdown: LossBreakdown,
@@ -206,8 +213,8 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
         fun, theta0, jac=jac, method="BFGS", callback=callback,
         options={"gtol": opts.grad_tol, "maxiter": opts.max_iter})
     return {"fun": float(res.fun), "x": res.x, "nit": int(res.nit),
-            "status": int(res.status), "nfev": nfev, "history": history,
-            "grad_history": grad_history}
+            "status": int(res.status), "message": str(res.message),
+            "nfev": nfev, "history": history, "grad_history": grad_history}
 
 
 def optimize(problem: BeamProblem, opts: OptimizerOptions,
@@ -246,5 +253,6 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         grad_norm_history=best["grad_history"], theta_final=best["x"],
         n_q=ctx.circuits_per_eval, function_evals=best["nfev"],
         restart_index=best["restart"],
-        restart_final_losses=restart_final_losses)
+        restart_final_losses=restart_final_losses,
+        status=best["status"], message=best["message"])
     return record, profile, breakdown

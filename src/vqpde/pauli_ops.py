@@ -23,8 +23,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse
 
-from .fem import (BcSpec, BeamProblem, BoundaryCase, assemble,
-                  element_stiffness, set_to_zero)
+from .fem import BeamProblem, BoundaryCase, element_stiffness
 
 
 class DecompositionResidualError(ValueError):
@@ -133,15 +132,15 @@ def decompose_element(Ke: np.ndarray) -> list[tuple[float, str]]:
     return coeffs
 
 
-def build_structured(problem: BeamProblem, bc: BcSpec, *,
+def build_structured(problem: BeamProblem, K_bc: scipy.sparse.csr_array, *,
                      flip_k2_sign: bool = False) -> StructuredOperator:
     """Structured representation of the constrained stiffness matrix K_mod.
 
     Open chain: aligned blocks + shifted blocks - shifted projector-prefixed
     wraparound block (6 terms each, 18 total). Periodic: the wraparound block
     is a real element, so the correction is omitted (12 terms). Each coupling
-    that ``set_to_zero`` removes, an upper-triangle entry (p, q, c) of K_bc,
-    becomes one boundary pair observable.
+    that ``set_to_zero`` removes, an upper-triangle entry (p, q, c) of its
+    ``K_bc``, becomes one boundary pair observable.
 
     ``flip_k2_sign`` is a debug-only negative control for the verification
     oracles.
@@ -161,9 +160,9 @@ def build_structured(problem: BeamProblem, bc: BcSpec, *,
             terms.append(StructuredTerm(c, Prefix.ZERO_PROJECTOR, tail,
                                         shift=2, sign=k2_sign))
 
-    K_bc = scipy.sparse.triu(set_to_zero(assemble(problem), bc)[1], k=1).tocoo()
-    pairs = sorted(zip(K_bc.row.tolist(), K_bc.col.tolist(),
-                       K_bc.data.tolist()))
+    removed = scipy.sparse.triu(K_bc, k=1).tocoo()
+    pairs = sorted(zip(removed.row.tolist(), removed.col.tolist(),
+                       removed.data.tolist()))
     return StructuredOperator(problem.num_qubits, tuple(terms), tuple(pairs))
 
 

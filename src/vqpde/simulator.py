@@ -224,22 +224,10 @@ def shift_circuit(m: int) -> list[Gate]:
     return gates
 
 
-def expectation_pauli(state: Statevector, pauli: str,
-                      projector_prefix: bool = False) -> float:
-    """Exact <state|O|state> for a Pauli string.
-
-    Without a prefix the string must cover the whole register. With
-    ``projector_prefix`` the string is a 2-qubit tail and the observable is
-    |0><0| on every upper qubit tensor the tail.
-    """
+def expectation_pauli(state: Statevector, pauli: str) -> float:
+    """Exact <state|O|state> for a Pauli string covering the whole register."""
     m = state.num_qubits
     amps = state.amplitudes
-    if projector_prefix:
-        if len(pauli) != 2:
-            raise ValueError("projector-prefixed tails act on two qubits")
-        tail = pauli_matrix(pauli)
-        sub = amps[:4]
-        return float(np.real(np.conj(sub) @ tail @ sub))
     if len(pauli) != m:
         raise ValueError("Pauli string length must match the register")
     x_mask = sum(1 << (m - 1 - k) for k, ch in enumerate(pauli) if ch in "XY")

@@ -58,8 +58,8 @@ class TestCriterion2StructuredEquivalence:
             for n in range(2, 6):
                 p = reference_problem(case, n)
                 bc = p.bc()
-                K_mod, _ = set_to_zero(assemble(p), bc)
-                op = build_structured(p, bc)
+                K_mod, K_bc = set_to_zero(assemble(p), bc)
+                op = build_structured(p, K_bc)
                 err = float(np.max(np.abs(materialize_operator(op) - K_mod)))
                 worst = max(worst, err)
                 per_case.add(len(op.terms))

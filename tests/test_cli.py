@@ -163,6 +163,15 @@ class TestMain:
         assert result["convergence"]["loss_history"] == []
         assert printed["rmse_objective"] is None
 
+    def test_max_iter_run_records_status(self, tmp_path):
+        cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 5})
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        result = _strict_loads((tmp_path / "out" / "result.json").read_text())
+        convergence = result["convergence"]
+        assert convergence["iterations"] == 5
+        assert convergence["status"] == 1
+        assert "iterations" in convergence["message"]
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         cfg["bogus"] = 1

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_acceptance import _richardson_gradient
 
-from vqpde import lsbt, simulator
+from vqpde import driver, lsbt, simulator
 from vqpde.driver import (ConvergenceRecord, NearSingularEnergyError,
                           OptimizerOptions, build_context,
                           evaluate_loss, evaluate_loss_dense, extract_profile,
                           gradient, optimize)
 from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind, LoadSpec,
-                       SingularSystemError)
+                       SingularSystemError, normalize_load)
 from vqpde.simulator import prepare_ansatz
 from vqpde.verify import quad_form_quantum
 
@@ -130,6 +134,49 @@ class TestLoss:
             fd = (evaluate_loss_dense(theta + step, ctx3).loss
                   - evaluate_loss_dense(theta - step, ctx3).loss) / (2 * h)
             assert g[k] == pytest.approx(fd, rel=1e-3, abs=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 8), reps=st.integers(0, 4),
+           case=st.sampled_from(list(BoundaryCase)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradient_matches_richardson(self, n, reps, case, seed):
+        # SSB/FFB at n = 2 as in the engine property below.
+        assume(n > 2 or case in (BoundaryCase.CANTILEVER, BoundaryCase.PBC))
+        rng = np.random.default_rng(seed)
+        problem = make_problem(case, n)
+        load = normalize_load(rng.normal(size=problem.num_dofs), problem.bc())
+        ctx = build_context(dataclasses.replace(problem, load=load), reps)
+        theta = rng.uniform(-np.pi, np.pi, ctx.n_params)
+        oracle = _richardson_gradient(theta, ctx)
+        err = np.max(np.abs(gradient(theta, ctx) - oracle))
+        assert err <= 1e-9 * np.max(np.abs(oracle))
+
+    def test_bfgs_reads_loss_and_gradient_separately(self, monkeypatch):
+        """Every BFGS objective call is one evaluate_loss; the gradient is
+        its own call, so a traced run sees both entry points."""
+        calls = {"objective": 0, "loss": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        minimize = scipy.optimize.minimize
+
+        def counted_minimize(fun, x0, *args, **kwargs):
+            return minimize(counted("objective", fun), x0, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+        monkeypatch.setattr(driver, "evaluate_loss",
+                            counted("loss", driver.evaluate_loss))
+        monkeypatch.setattr(driver, "gradient",
+                            counted("gradient", driver.gradient))
+        record, _, _ = optimize(
+            make_problem(), OptimizerOptions(seed=0, restarts=2, max_iter=20),
+            reps=2)
+        assert record.iterations >= 1 and calls["gradient"] >= 1
+        assert calls["loss"] == calls["objective"] >= 1
 
 
 class TestEngineOracle:

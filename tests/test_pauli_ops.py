@@ -19,6 +19,11 @@ def problem(case, n, **kw):
     return BeamProblem(num_qubits=n, boundary_case=case, **defaults)
 
 
+def structured(p, bc):
+    """``build_structured`` on the K_bc that ``set_to_zero`` makes."""
+    return build_structured(p, set_to_zero(assemble(p), bc)[1])
+
+
 def full_basis_projection(M):
     """Oracle: project a 4x4 matrix on all 16 Pauli strings."""
     return {label: np.trace(M @ pauli_matrix(label)).real / 4
@@ -131,32 +136,32 @@ class TestBuildStructured:
     def test_reconstructs_constrained_matrix(self, case, n):
         p = problem(case, n, length=10.0, youngs_modulus=1000.0)
         bc = p.bc()
-        K_mod, _ = set_to_zero(assemble(p), bc)
-        dense = materialize_operator(build_structured(p, bc))
+        K_mod, K_bc = set_to_zero(assemble(p), bc)
+        dense = materialize_operator(build_structured(p, K_bc))
         assert np.max(np.abs(dense - K_mod)) <= 1e-10
 
     def test_term_count_constant_in_n(self):
         for case in BoundaryCase:
-            counts = {len(build_structured(problem(case, n), BcSpec(())).terms)
+            counts = {len(structured(problem(case, n), BcSpec(())).terms)
                       for n in range(2, 9)}
             assert len(counts) == 1
             assert counts.pop() <= 18
 
     def test_open_chain_term_layout(self):
-        op = build_structured(problem(BoundaryCase.CANTILEVER, 4), BcSpec(()))
+        op = structured(problem(BoundaryCase.CANTILEVER, 4), BcSpec(()))
         assert len(op.terms) == 18
         assert sum(1 for t in op.terms if t.shift == 0) == 6
         assert sum(1 for t in op.terms
                    if t.prefix is Prefix.ZERO_PROJECTOR and t.sign == -1) == 6
 
     def test_pbc_omits_wraparound_correction(self):
-        op = build_structured(problem(BoundaryCase.PBC, 4), BcSpec(()))
+        op = structured(problem(BoundaryCase.PBC, 4), BcSpec(()))
         assert len(op.terms) == 12
         assert all(t.prefix is Prefix.IDENTITY for t in op.terms)
 
     def test_n2_degenerate_cancellation(self):
         p = problem(BoundaryCase.CANTILEVER, 2)
-        dense = materialize_operator(build_structured(p, BcSpec(())))
+        dense = materialize_operator(structured(p, BcSpec(())))
         np.testing.assert_allclose(dense, element_stiffness(1, 1, 1),
                                    atol=1e-12)
 
@@ -171,7 +176,7 @@ class TestBuildStructured:
     @staticmethod
     def _check_pairs(p, bc):
         _, K_bc = set_to_zero(assemble(p), bc)
-        op = build_structured(p, bc)
+        op = build_structured(p, K_bc)
         assert all(pp < q for pp, q, _ in op.bc_pairs)
         assert list(op.bc_pairs) == sorted(set(op.bc_pairs))
         recon = np.zeros(K_bc.shape)
@@ -182,6 +187,7 @@ class TestBuildStructured:
     def test_flip_k2_negative_control(self):
         p = problem(BoundaryCase.CANTILEVER, 3)
         bc = p.bc()
-        K_mod, _ = set_to_zero(assemble(p), bc)
-        dense = materialize_operator(build_structured(p, bc, flip_k2_sign=True))
+        K_mod, K_bc = set_to_zero(assemble(p), bc)
+        dense = materialize_operator(build_structured(p, K_bc,
+                                                      flip_k2_sign=True))
         assert np.max(np.abs(dense - K_mod)) > 1.0

@@ -181,8 +181,8 @@ class TestExpectations:
         assert expectation_pauli(Statevector.zero(1), "Z") == pytest.approx(1.0)
 
     def test_projector_prefix_on_zero(self):
-        assert expectation_pauli(Statevector.zero(2), "II",
-                                 projector_prefix=True) == pytest.approx(1.0)
+        assert expectation_tail(Statevector.zero(2), "II",
+                                Prefix.ZERO_PROJECTOR) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("label", ["XIZI", "YYXZ", "ZZZZ", "IXYZ"])
     def test_full_string_against_dense(self, label):
@@ -197,8 +197,6 @@ class TestExpectations:
         term = StructuredTerm(1.0, Prefix.ZERO_PROJECTOR, "YY", 0)
         dense = materialize(term, 4)
         expected = np.real(np.vdot(state.amplitudes, dense @ state.amplitudes))
-        assert expectation_pauli(state, "YY", projector_prefix=True) == \
-            pytest.approx(expected, abs=1e-10)
         assert expectation_tail(state, "YY", Prefix.ZERO_PROJECTOR) == \
             pytest.approx(expected, abs=1e-10)
 
