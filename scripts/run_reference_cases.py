@@ -2,7 +2,9 @@
 
 Configuration: L = 10 m, E = 1000, I = 1, n = 5 qubits, reps = 5, seeded
 best-of-5-restart BFGS. Per-case artifacts (result.json, convergence.csv,
-profile.csv) land in results/<case>/.
+profile.csv) land in results/<case>/. The status column is scipy's BFGS
+status of the chosen restart: 0 converged, 1 stopped at max_iter, 2 line
+search lost precision.
 """
 
 import argparse
@@ -38,14 +40,15 @@ def main(argv=None) -> int:
         result = run_case(config, output_dir=str(out))
         m = result["metrics"]
         rows.append((case, result["convergence"]["iterations"],
-                     m["accuracy_pct"], m["relative_error"], m["fidelity"],
+                     result["convergence"]["status"], m["accuracy_pct"],
+                     m["relative_error"], m["fidelity"],
                      result["wall_time_seconds"]))
 
-    print(f"\n{'case':<12}{'iters':>7}{'accuracy %':>12}{'rel err':>12}"
-          f"{'fidelity':>12}{'wall s':>9}")
-    for case, iters, acc, rel, fid, wall in rows:
-        print(f"{case:<12}{iters:>7}{acc:>12.4f}{rel:>12.6f}{fid:>12.8f}"
-              f"{wall:>9.1f}")
+    print(f"\n{'case':<12}{'iters':>7}{'status':>8}{'accuracy %':>12}"
+          f"{'rel err':>12}{'fidelity':>12}{'wall s':>9}")
+    for case, iters, status, acc, rel, fid, wall in rows:
+        print(f"{case:<12}{iters:>7}{status:>8}{acc:>12.4f}{rel:>12.6f}"
+              f"{fid:>12.8f}{wall:>9.1f}")
     return 0
 
 

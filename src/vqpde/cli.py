@@ -5,7 +5,8 @@ Subcommands:
   sweep  --config FILE --qubits 3,4,5   same case across qubit counts
   verify [--deep] [--flip-k2-sign]      run the oracle suites
 
-Exit codes: 0 success, 1 optimization failure, 2 config error,
+Exit codes: 0 success, 1 optimization failure (a singular system, a
+degenerate trial state, or every restart failed), 2 config error,
 3 verification failure. VQPDE_THREADS caps sweep parallelism.
 """
 
@@ -23,7 +24,8 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import verify as verify_mod
-from .driver import OptimizerOptions, OptimizationFailedError, build_context, optimize
+from .driver import (NearSingularEnergyError, OptimizerOptions,
+                     OptimizationFailedError, build_context, optimize)
 from .fem import BoundaryCase, BeamProblem, SingularSystemError, check_int
 
 
@@ -131,6 +133,7 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
             "status": record.status,
             "message": record.message,
             "restart_final_losses": record.restart_final_losses,
+            "restarts": record.restarts,
             "loss_history": record.loss_history,
             "theta_final": record.theta_final.tolist(),
         },
@@ -250,7 +253,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SingularSystemError as exc:
+    except (SingularSystemError, NearSingularEnergyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OptimizationFailedError as exc:

@@ -3,14 +3,15 @@
 The loss for a trial state phi(theta) is -overlap^2 / (2 quad) with
 quad = <phi|K_mod|phi> and overlap = <f,phi| X (x) I |f,phi>. The scale
 factor c* = overlap/quad is closed-form, so only theta is optimized (BFGS
-with exact parameter-shift gradients).
+with exact gradients).
 
-The loss, the gradient and the final state all come from one real float64
-engine, ``simulator.ansatz_states``, read by ``observables`` against the one
-sparse ``K_mod``. The paper's measurement recipe for quad, the structured
-Pauli terms plus one LSBT pair observable per removed coupling, and the
-ancilla overlap circuit are the gate-level oracles for those reads, checked
-against ``K_mod`` by ``verify.py`` and the tests.
+The loss and the final state come from one real float64 engine,
+``simulator.ansatz_states``, read by ``observables`` against the one sparse
+``K_mod``. The gradient is that one forward state plus one reverse sweep,
+``simulator.ansatz_vjp``, in O(P 2^n). The paper's measurement recipe for
+quad, the structured Pauli terms plus one LSBT pair observable per removed
+coupling, and the ancilla overlap circuit are the gate-level oracles for
+those reads, checked against ``K_mod`` by ``verify.py`` and the tests.
 """
 
 from __future__ import annotations
@@ -67,9 +68,15 @@ class ConvergenceRecord:
     n_q: int
     function_evals: int
     restart_index: int
-    restart_final_losses: list[float]
     status: int   # scipy's BFGS status of the chosen restart
     message: str
+    # Per restart: loss, nit, nfev, status, message, redrawn and error; a
+    # failed restart has its error and None in the other fields.
+    restarts: list[dict]
+
+    @property
+    def restart_final_losses(self) -> list[float | None]:
+        return [e["loss"] for e in self.restarts]
 
 
 @dataclass
@@ -135,7 +142,7 @@ def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown
 
 
 def _breakdown(quad: float, overlap: float) -> LossBreakdown:
-    if quad <= 1e-12:  # the dense path's guard; the engine's is in observables
+    if quad <= 0.0:  # the dense path's guard; the engine's is in observables
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return LossBreakdown(quad=float(quad), overlap=float(overlap),
                          c_star=float(overlap / quad),
@@ -149,30 +156,31 @@ def observables(thetas: np.ndarray, ctx: ProblemContext
     Reads the real engine's (2^n, B) states against the sparse K_mod, quad as
     <phi|K_mod|phi> and the overlap as <f|phi>. The structured terms and the
     LSBT pairs measure the same quad on hardware; they are the oracle here.
+
+    The states are unit vectors, so quad / ||K_mod phi|| does not depend on
+    the beam's stiffness scale EI; a column where it falls to 1e-12 or below
+    sits in the near-null space and raises.
     """
     states = simulator.ansatz_states(thetas, ctx.n_qubits, ctx.reps)
-    quad = np.einsum("ib,ib->b", states, ctx.K_mod @ states)
-    if np.any(quad <= 1e-12):
+    k_states = ctx.K_mod @ states
+    quad = np.einsum("ib,ib->b", states, k_states)
+    if np.any(quad <= 1e-12 * np.linalg.norm(k_states, axis=0)):
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return states, quad, ctx.load.vector @ states
 
 
 def gradient(theta: np.ndarray, ctx: ProblemContext) -> np.ndarray:
-    """Exact loss gradient by the parameter shift, in one engine call.
+    """Exact loss gradient: one forward state, then one reverse sweep.
 
-    Each angle sits in one RY gate and dRY(t)/dt = RY(t + pi)/2, so
-    dphi/dtheta_k = phi(theta + pi e_k)/2. Row 0 of the batch is theta, row k
-    is theta + pi e_k, and g_k = lam . phi_k / 2 with
-    lam = dL/dphi = (o/q)((o/q) K_mod phi - f).
+    With lam = dL/dphi = (o/q)((o/q) K_mod phi - f), the gradient is
+    lam . dphi/dtheta, which ``simulator.ansatz_vjp`` reads by walking the
+    ansatz backwards from phi.
     """
-    theta = np.asarray(theta, dtype=float)
-    P = theta.size
-    rows = np.repeat(theta[None, :], P + 1, axis=0)
-    rows[np.arange(1, P + 1), np.arange(P)] += np.pi
-    states, quad, overlap = observables(rows, ctx)
+    states, quad, overlap = observables(theta, ctx)
+    phi = states[:, 0]
     c = overlap[0] / quad[0]
-    lam = c * (c * (ctx.K_mod @ states[:, 0]) - ctx.load.vector)
-    return 0.5 * (lam @ states[:, 1:])
+    lam = c * (c * (ctx.K_mod @ phi) - ctx.load.vector)
+    return simulator.ansatz_vjp(theta, ctx.n_qubits, ctx.reps, phi, lam)
 
 
 def extract_profile(ctx: ProblemContext, breakdown: LossBreakdown,
@@ -225,25 +233,41 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
 
     A start where <f|phi> is about zero has a loss and gradient of about zero;
     BFGS stops there at once on precision loss (nit 0, status 2). Such a
-    restart is drawn again, once, from the same generator.
+    restart is drawn again, once, from the same generator. A restart that
+    hits a near-singular state is recorded as failed and the others go on;
+    if none is left, OptimizationFailedError.
     """
     if ctx is None:
         ctx = build_context(problem, reps, bc)
 
     rng = np.random.default_rng(opts.seed)
     best = None
-    restart_final_losses = []
+    restarts = []
 
     for r in range(opts.restarts):
-        run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params), ctx, opts)
-        if run["nit"] == 0 and run["status"] == 2:
+        redrawn = False
+        try:
             run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params), ctx, opts)
-        restart_final_losses.append(run["fun"])
+            if run["nit"] == 0 and run["status"] == 2:
+                redrawn = True
+                run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params),
+                               ctx, opts)
+        except NearSingularEnergyError as exc:
+            restarts.append({"loss": None, "nit": None, "nfev": None,
+                             "status": None, "message": None,
+                             "redrawn": redrawn, "error": str(exc)})
+            continue
+        restarts.append({"loss": run["fun"], "nit": run["nit"],
+                         "nfev": run["nfev"], "status": run["status"],
+                         "message": run["message"], "redrawn": redrawn,
+                         "error": None})
         if best is None or run["fun"] < best["fun"]:
             best = dict(run, restart=r)
 
-    if not np.isfinite(best["fun"]):
-        raise OptimizationFailedError("all restarts failed")
+    if best is None or not np.isfinite(best["fun"]):
+        errors = sorted({e["error"] for e in restarts if e["error"]})
+        reason = f": {'; '.join(errors)}" if errors else ""
+        raise OptimizationFailedError("all restarts failed" + reason)
 
     states, quad, overlap = observables(best["x"], ctx)
     breakdown = _breakdown(quad[0], overlap[0])
@@ -252,7 +276,6 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         iterations=best["nit"], loss_history=best["history"],
         grad_norm_history=best["grad_history"], theta_final=best["x"],
         n_q=ctx.circuits_per_eval, function_evals=best["nfev"],
-        restart_index=best["restart"],
-        restart_final_losses=restart_final_losses,
-        status=best["status"], message=best["message"])
+        restart_index=best["restart"], status=best["status"],
+        message=best["message"], restarts=restarts)
     return record, profile, breakdown

@@ -1,7 +1,9 @@
 """Exact statevector simulation: the real engine and the gate-level oracle.
 
 ``ansatz_states`` is the engine the driver runs: the real-amplitude ansatz
-in float64 for a batch of parameter rows at once. Everything else is the
+in float64 for a batch of parameter rows at once. ``ansatz_vjp`` is its
+reverse sweep: from the final state and a cotangent lam it returns
+lam . dphi/dtheta for all angles in O(P 2^n). Everything else is the
 gate-level construction that defines the semantics and serves as its oracle
 (used by ``verify.py`` and the tests only): complex ``Statevector`` gate
 application, the increment (shift) circuit, the ancilla-based superposition
@@ -203,6 +205,52 @@ def ansatz_states(thetas: np.ndarray, n: int, reps: int) -> np.ndarray:
             a0 *= c
             a0 -= t
     return states
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_chain_inverse(n: int) -> np.ndarray:
+    """Index map undoing ``_cnot_chain``: |i> receives the amplitude of the
+    Gray decode of i."""
+    out = np.argsort(_cnot_chain(n))
+    out.setflags(write=False)
+    return out
+
+
+def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
+               lam: np.ndarray) -> np.ndarray:
+    """lam . dphi/dtheta_j for every angle, by one reverse sweep from phi.
+
+    ``phi`` is the ansatz state at ``theta``. dRY(t)/dt = RY(pi) RY(t) / 2,
+    and the n rotations of one layer commute, so at the end of a layer the
+    derivative along its angle on qubit k is <mu, Y_k psi> / 2: psi is the
+    state there, mu is lam pulled back through the later (orthogonal) gates
+    and Y = [[0, -1], [1, 0]]. The sweep carries psi and mu as the two
+    columns of one array, undoing each layer on both at once, and reads all
+    the products at the end.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n * (reps + 1),):
+        raise ArityError(
+            f"expected {n * (reps + 1)} parameters, got {theta.size}")
+    cos, sin = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    undo = np.moveaxis(np.array([[cos, sin], [-sin, cos]]), -1, 0)  # RY(-t_j)
+    pair = np.stack([phi, lam], axis=1)        # (2^n, 2): psi, mu
+    snaps = np.empty((reps + 1, 2 ** n, 2))    # (psi, mu) at each layer's end
+    for layer in range(reps, -1, -1):
+        snaps[layer] = pair
+        if layer:
+            for k in range(n):
+                pair = (undo[layer * n + k] @ pair.reshape(2 ** k, 2, -1)
+                        ).reshape(-1, 2)
+            pair = pair[_cnot_chain_inverse(n)]
+    g = np.empty((reps + 1, n))
+    for k in range(n):
+        v = snaps.reshape(reps + 1, 2 ** k, 2, -1, 2)  # axis 2: bit of qubit k
+        psi0, psi1 = v[:, :, 0, :, 0], v[:, :, 1, :, 0]
+        mu0, mu1 = v[:, :, 0, :, 1], v[:, :, 1, :, 1]
+        g[:, k] = (np.einsum("lim,lim->l", mu1, psi0)
+                   - np.einsum("lim,lim->l", mu0, psi1))
+    return 0.5 * g.ravel()
 
 
 def shift_circuit(m: int) -> list[Gate]:

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from vqpde import cli, driver
 from vqpde.cli import (ConfigError, load_config, main, options_from_config,
                        problem_from_config, run_case, run_sweep)
 from vqpde.fem import BoundaryCase
@@ -171,6 +172,52 @@ class TestMain:
         assert convergence["iterations"] == 5
         assert convergence["status"] == 1
         assert "iterations" in convergence["message"]
+
+    def test_failed_restart_still_exits_zero(self, tmp_path, monkeypatch):
+        descend, calls = driver._descend, []
+
+        def second_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise driver.NearSingularEnergyError("degenerate start")
+            return descend(*args)
+
+        monkeypatch.setattr(driver, "_descend", second_fails)
+        cfg = small_config(tmp_path, optimizer={"restarts": 3, "max_iter": 30})
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        result = _strict_loads((tmp_path / "out" / "result.json").read_text())
+        convergence = result["convergence"]
+        restarts = convergence["restarts"]
+        assert [e["error"] for e in restarts] == [None, "degenerate start", None]
+        assert convergence["restart_final_losses"] == \
+            [e["loss"] for e in restarts]
+        assert restarts[1]["loss"] is None and restarts[1]["nit"] is None
+        assert restarts[0]["loss"] is not None
+        assert convergence["restart_index"] != 1
+        assert set(restarts[0]) == {"loss", "nit", "nfev", "status", "message",
+                                    "redrawn", "error"}
+
+    def test_degenerate_state_exit_one(self, tmp_path, monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise driver.NearSingularEnergyError("degenerate state")
+
+        monkeypatch.setattr(cli, "optimize", degenerate)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: degenerate state\n"
+
+    def test_every_restart_failing_exit_one(self, tmp_path, monkeypatch,
+                                            capsys):
+        def degenerate(*args):
+            raise driver.NearSingularEnergyError("degenerate state")
+
+        monkeypatch.setattr(driver, "evaluate_loss", degenerate)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["run", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "optimization failed: all restarts failed: " \
+            "degenerate state\n"
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

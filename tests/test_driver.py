@@ -124,6 +124,39 @@ class TestLoss:
             with pytest.raises(NearSingularEnergyError):
                 path(np.zeros(3), bad)
 
+    def test_loss_and_gradient_scale_as_inverse_stiffness(self):
+        """States are unit vectors, so only the 1/EI scale of the loss moves
+        with E; a flexible beam is as valid as a stiff one."""
+        theta = np.random.default_rng(4).uniform(-np.pi, np.pi, 12)
+        reads = {}
+        for E in (1000.0, 1e-14):
+            ctx = build_context(make_problem(BoundaryCase.SSB, 4, length=10.0,
+                                             youngs_modulus=E), reps=2)
+            reads[E] = (evaluate_loss(theta, ctx).loss, gradient(theta, ctx))
+        (loss_a, grad_a), (loss_b, grad_b) = reads[1000.0], reads[1e-14]
+        assert loss_b * 1e-14 == pytest.approx(loss_a * 1000.0, rel=1e-12)
+        np.testing.assert_allclose(grad_b * 1e-14, grad_a * 1000.0, rtol=1e-12)
+
+    def test_gradient_is_one_forward_state(self, monkeypatch):
+        """One engine call on one row and no gate: the reverse sweep does the
+        rest, with no batch of shifted rows."""
+        rows = []
+        ansatz_states = simulator.ansatz_states
+
+        def counted(thetas, *args):
+            rows.append(np.atleast_2d(thetas).shape[0])
+            return ansatz_states(thetas, *args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("gate-level path used by the gradient")
+
+        ctx = build_context(make_problem(BoundaryCase.SSB, 5), reps=3)
+        theta = np.linspace(-1.0, 1.0, ctx.n_params)
+        monkeypatch.setattr(simulator, "ansatz_states", counted)
+        monkeypatch.setattr(simulator, "apply_gate", forbidden)
+        gradient(theta, ctx)
+        assert rows == [1]
+
     def test_gradient_against_coarse_differences(self, ctx3):
         theta = np.linspace(-1.0, 1.0, ctx3.n_params)
         g = gradient(theta, ctx3)
@@ -226,6 +259,7 @@ class TestEngineOracle:
                                 grad_tol=0.0)
         record, _, _ = optimize(problem, opts, reps=5)
         assert record.iterations == 4
+        assert record.restarts[0]["redrawn"] is True
 
 
 class TestExtractProfile:

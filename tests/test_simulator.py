@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from vqpde.pauli_ops import Prefix, StructuredTerm, materialize, pauli_matrix
 from vqpde.simulator import (ArityError, Gate, Statevector, ansatz_gates,
-                             ansatz_states, apply_circuit, apply_gate, cnot,
+                             ansatz_states, ansatz_vjp, apply_circuit,
+                             apply_gate, cnot,
                              expectation_pauli,
                              expectation_structured_term, expectation_tail, h,
                              mcx, overlap_term, prepare_ansatz, ry,
@@ -137,6 +138,35 @@ class TestAnsatz:
                 states[:, b], prepare_ansatz(n, reps, theta).real_vector())
         np.testing.assert_array_equal(ansatz_states(thetas[0], n, reps),
                                       states[:, :1])
+
+
+class TestAnsatzVjp:
+    """The reverse sweep against the parameter shift on the forward engine."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), reps=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_parameter_shift(self, n, reps, seed):
+        """lam . dphi/dtheta_k = lam . phi(theta + pi e_k) / 2 for any lam:
+        row 0 of the batch is theta, row k is theta + pi e_k."""
+        rng = np.random.default_rng(seed)
+        P = n * (reps + 1)
+        theta = rng.uniform(-np.pi, np.pi, P)
+        lam = rng.normal(size=2 ** n)
+        rows = np.repeat(theta[None, :], P + 1, axis=0)
+        rows[np.arange(1, P + 1), np.arange(P)] += np.pi
+        states = ansatz_states(rows, n, reps)
+        want = 0.5 * (lam @ states[:, 1:])
+        got = ansatz_vjp(theta, n, reps, states[:, 0], lam)
+        assert got.shape == (P,)
+        # Relative to ||lam||, the bound of every |g_k| (||dphi/dtheta_k|| is
+        # 1/2): at n = 1 a single product can cancel to ~1e-4 of it.
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(lam)
+
+    def test_parameter_count(self):
+        phi = ansatz_states(np.zeros(30), 5, 5)[:, 0]
+        with pytest.raises(ArityError):
+            ansatz_vjp(np.zeros(29), 5, 5, phi, phi)
 
 
 class TestShiftCircuit:
