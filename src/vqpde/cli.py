@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 optimization failure (a singular system, a
 degenerate trial state, or every restart failed), 2 config error,
-3 verification failure. VQPDE_THREADS caps sweep parallelism.
+3 verification failure. VQPDE_THREADS, an integer, caps sweep
+parallelism; a sweep starts at most one process per qubit count.
 """
 
 from __future__ import annotations
@@ -191,7 +192,12 @@ def _sweep_worker(args):
 def run_sweep(config: dict, qubits: list[int]) -> list[dict]:
     base_dir = config.get("output_dir", ".")
     jobs = [(config, n, base_dir) for n in qubits]
-    max_workers = int(os.environ.get("VQPDE_THREADS", "1"))
+    threads = os.environ.get("VQPDE_THREADS", "1")
+    try:
+        max_workers = min(int(threads), len(jobs))
+    except ValueError:
+        raise ConfigError("VQPDE_THREADS must be an integer, "
+                          f"got {threads!r}") from None
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = dict(pool.map(_sweep_worker, jobs))

@@ -6,17 +6,18 @@ factor c* = overlap/quad is closed-form, so only theta is optimized (BFGS
 with exact gradients).
 
 The loss and the final state come from one real float64 engine,
-``simulator.ansatz_states``, read by ``observables`` against the one sparse
-``K_mod``. The gradient is that one forward state plus one reverse sweep,
-``simulator.ansatz_vjp``, in O(P 2^n). The paper's measurement recipe for
-quad, the structured Pauli terms plus one LSBT pair observable per removed
-coupling, and the ancilla overlap circuit are the gate-level oracles for
-those reads, checked against ``K_mod`` by ``verify.py`` and the tests.
+``simulator.ansatz_states``, read by ``evaluate_loss`` against the one sparse
+``K_mod``. ``gradient`` returns that read together with the exact gradient,
+one reverse sweep from the same state (``simulator.ansatz_vjp``, O(P 2^n)),
+so each BFGS point prepares its trial state once. The paper's measurement
+recipe for quad, the structured Pauli terms plus one LSBT pair observable per
+removed coupling, and the ancilla overlap circuit are the gate-level oracles
+for those reads, checked against ``K_mod`` by ``verify.py`` and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
@@ -57,6 +58,7 @@ class LossBreakdown:
     overlap: float
     c_star: float
     loss: float
+    state: np.ndarray = field(compare=False)  # unit phi; not in == or hash
 
 
 @dataclass
@@ -130,64 +132,60 @@ def build_context(problem: BeamProblem, reps: int,
 
 
 def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
-    """The engine's loss at one parameter vector."""
-    _, quad, overlap = observables(theta, ctx)
-    return _breakdown(quad[0], overlap[0])
+    """The engine's loss at one parameter vector.
+
+    Reads the real engine's unit state phi against the sparse K_mod, quad as
+    <phi|K_mod|phi> and the overlap as <f|phi>. The structured terms and the
+    LSBT pairs measure the same quad on hardware; they are the oracle here.
+
+    phi is a unit vector, so quad / ||K_mod phi|| does not depend on the
+    beam's stiffness scale EI; a state where it falls to 1e-12 or below sits
+    in the near-null space and raises.
+    """
+    phi = simulator.ansatz_states(theta, ctx.n_qubits, ctx.reps)[:, 0]
+    k_phi = ctx.K_mod @ phi
+    quad = np.einsum("i,i->", phi, k_phi)
+    if quad <= 1e-12 * np.linalg.norm(k_phi):
+        raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
+    return _breakdown(quad, ctx.load.vector @ phi, phi)
 
 
 def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
     """Dense-matrix oracle for the loss, independent of the engine path."""
     phi = simulator.prepare_ansatz(ctx.n_qubits, ctx.reps, theta).real_vector()
-    return _breakdown(phi @ ctx.K_mod @ phi, ctx.load.vector @ phi)
+    return _breakdown(phi @ ctx.K_mod @ phi, ctx.load.vector @ phi, phi)
 
 
-def _breakdown(quad: float, overlap: float) -> LossBreakdown:
-    if quad <= 0.0:  # the dense path's guard; the engine's is in observables
+def _breakdown(quad: float, overlap: float, phi: np.ndarray) -> LossBreakdown:
+    if quad <= 0.0:  # the dense path's guard; the engine's is in evaluate_loss
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return LossBreakdown(quad=float(quad), overlap=float(overlap),
                          c_star=float(overlap / quad),
-                         loss=float(-overlap ** 2 / (2.0 * quad)))
+                         loss=float(-overlap ** 2 / (2.0 * quad)), state=phi)
 
 
-def observables(thetas: np.ndarray, ctx: ProblemContext
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trial states, quad and overlap for each row of ``thetas``.
+def gradient(theta: np.ndarray, ctx: ProblemContext
+             ) -> tuple[LossBreakdown, np.ndarray]:
+    """The loss at ``theta`` and its exact gradient, from one forward state.
 
-    Reads the real engine's (2^n, B) states against the sparse K_mod, quad as
-    <phi|K_mod|phi> and the overlap as <f|phi>. The structured terms and the
-    LSBT pairs measure the same quad on hardware; they are the oracle here.
-
-    The states are unit vectors, so quad / ||K_mod phi|| does not depend on
-    the beam's stiffness scale EI; a column where it falls to 1e-12 or below
-    sits in the near-null space and raises.
+    The loss is one ``evaluate_loss`` read. With lam = dL/dphi =
+    (o/q)((o/q) K_mod phi - f), the gradient is lam . dphi/dtheta, which
+    ``simulator.ansatz_vjp`` reads by walking the ansatz backwards from phi.
     """
-    states = simulator.ansatz_states(thetas, ctx.n_qubits, ctx.reps)
-    k_states = ctx.K_mod @ states
-    quad = np.einsum("ib,ib->b", states, k_states)
-    if np.any(quad <= 1e-12 * np.linalg.norm(k_states, axis=0)):
-        raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return states, quad, ctx.load.vector @ states
+    b = evaluate_loss(theta, ctx)
+    c = b.c_star
+    lam = c * (c * (ctx.K_mod @ b.state) - ctx.load.vector)
+    return b, simulator.ansatz_vjp(theta, ctx.n_qubits, ctx.reps, b.state, lam)
 
 
-def gradient(theta: np.ndarray, ctx: ProblemContext) -> np.ndarray:
-    """Exact loss gradient: one forward state, then one reverse sweep.
+def extract_profile(ctx: ProblemContext,
+                    breakdown: LossBreakdown) -> SolutionProfile:
+    """Physical solution c* ||f_raw|| phi, sign-gauged toward the load.
 
-    With lam = dL/dphi = (o/q)((o/q) K_mod phi - f), the gradient is
-    lam . dphi/dtheta, which ``simulator.ansatz_vjp`` reads by walking the
-    ansatz backwards from phi.
+    phi is ``breakdown.state``, the state the breakdown was read from.
     """
-    states, quad, overlap = observables(theta, ctx)
-    phi = states[:, 0]
-    c = overlap[0] / quad[0]
-    lam = c * (c * (ctx.K_mod @ phi) - ctx.load.vector)
-    return simulator.ansatz_vjp(theta, ctx.n_qubits, ctx.reps, phi, lam)
-
-
-def extract_profile(ctx: ProblemContext, breakdown: LossBreakdown,
-                    phi: np.ndarray) -> SolutionProfile:
-    """Physical solution c* ||f_raw|| phi, sign-gauged toward the load."""
-    sign = 1.0 if float(ctx.load.vector @ phi) >= 0.0 else -1.0
-    phi = sign * phi
+    sign = 1.0 if breakdown.overlap >= 0.0 else -1.0
+    phi = sign * breakdown.state
     c_star = sign * breakdown.c_star  # c* flips with phi, the product is fixed
     scale = c_star * ctx.load.scale
     v = scale * phi
@@ -200,29 +198,24 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
     """One BFGS descent from ``theta0``, with its loss and gradient history."""
     history, grad_history = [], []  # loss and max |gradient| per iterate
     last_grad_norm = np.nan
-    nfev = 0
 
     def fun(th):
-        nonlocal nfev
-        nfev += 1
-        return evaluate_loss(th, ctx).loss
-
-    def jac(th):
         nonlocal last_grad_norm
-        g = gradient(th, ctx)
+        b, g = gradient(th, ctx)
         last_grad_norm = float(np.max(np.abs(g)))
-        return g
+        return b.loss, g
 
     def callback(intermediate_result):
         history.append(float(intermediate_result.fun))
         grad_history.append(last_grad_norm)
 
     res = scipy.optimize.minimize(
-        fun, theta0, jac=jac, method="BFGS", callback=callback,
+        fun, theta0, jac=True, method="BFGS", callback=callback,
         options={"gtol": opts.grad_tol, "maxiter": opts.max_iter})
     return {"fun": float(res.fun), "x": res.x, "nit": int(res.nit),
             "status": int(res.status), "message": str(res.message),
-            "nfev": nfev, "history": history, "grad_history": grad_history}
+            "nfev": int(res.nfev), "history": history,
+            "grad_history": grad_history}
 
 
 def optimize(problem: BeamProblem, opts: OptimizerOptions,
@@ -269,9 +262,8 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         reason = f": {'; '.join(errors)}" if errors else ""
         raise OptimizationFailedError("all restarts failed" + reason)
 
-    states, quad, overlap = observables(best["x"], ctx)
-    breakdown = _breakdown(quad[0], overlap[0])
-    profile = extract_profile(ctx, breakdown, states[:, 0])
+    breakdown = evaluate_loss(best["x"], ctx)
+    profile = extract_profile(ctx, breakdown)
     record = ConvergenceRecord(
         iterations=best["nit"], loss_history=best["history"],
         grad_norm_history=best["grad_history"], theta_final=best["x"],

@@ -173,7 +173,7 @@ class TestCriterion8GradientCheck:
         worst = 0.0
         for _ in range(20):
             theta = rng.uniform(-np.pi, np.pi, ctx.n_params)
-            g = gradient(theta, ctx)
+            _, g = gradient(theta, ctx)
             oracle = _richardson_gradient(theta, ctx)
             scale = max(float(np.max(np.abs(oracle))), 1e-12)
             worst = max(worst, float(np.max(np.abs(g - oracle))) / scale)

@@ -267,6 +267,15 @@ class TestMain:
         assert main(["sweep", "--config", path, "--qubits", qubits]) == 2
         assert "--qubits" in capsys.readouterr().err
 
+    def test_sweep_rejects_non_integer_threads(self, tmp_path, capsys,
+                                               monkeypatch):
+        pools = _fake_pool(monkeypatch)
+        monkeypatch.setenv("VQPDE_THREADS", "abc")
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", "3"]) == 2
+        assert "VQPDE_THREADS" in capsys.readouterr().err
+        assert pools == []
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -277,7 +286,37 @@ class TestMain:
         assert "FAIL" in capsys.readouterr().out
 
 
+def _fake_pool(monkeypatch):
+    """Replace the sweep's process pool by a serial one; returns the list of
+    ``max_workers`` it was asked for."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 class TestSweep:
+    def test_workers_capped_by_job_count(self, tmp_path, monkeypatch):
+        pools = _fake_pool(monkeypatch)
+        monkeypatch.setenv("VQPDE_THREADS", "64")
+        cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 2})
+        results = run_sweep(cfg, [3, 4])
+        assert pools == [2]
+        assert [r["config"]["problem"]["num_qubits"] for r in results] == [3, 4]
+
     def test_sweep_runs_each_size(self, tmp_path):
         cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 40})
         results = run_sweep(cfg, [3, 4])

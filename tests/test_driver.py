@@ -132,14 +132,15 @@ class TestLoss:
         for E in (1000.0, 1e-14):
             ctx = build_context(make_problem(BoundaryCase.SSB, 4, length=10.0,
                                              youngs_modulus=E), reps=2)
-            reads[E] = (evaluate_loss(theta, ctx).loss, gradient(theta, ctx))
+            reads[E] = (evaluate_loss(theta, ctx).loss, gradient(theta, ctx)[1])
         (loss_a, grad_a), (loss_b, grad_b) = reads[1000.0], reads[1e-14]
         assert loss_b * 1e-14 == pytest.approx(loss_a * 1000.0, rel=1e-12)
         np.testing.assert_allclose(grad_b * 1e-14, grad_a * 1000.0, rtol=1e-12)
 
     def test_gradient_is_one_forward_state(self, monkeypatch):
         """One engine call on one row and no gate: the reverse sweep does the
-        rest, with no batch of shifted rows."""
+        rest, with no batch of shifted rows. The breakdown it returns is the
+        ``evaluate_loss`` read at the same point."""
         rows = []
         ansatz_states = simulator.ansatz_states
 
@@ -154,12 +155,21 @@ class TestLoss:
         theta = np.linspace(-1.0, 1.0, ctx.n_params)
         monkeypatch.setattr(simulator, "ansatz_states", counted)
         monkeypatch.setattr(simulator, "apply_gate", forbidden)
-        gradient(theta, ctx)
+        breakdown, _ = gradient(theta, ctx)
         assert rows == [1]
+        expected = evaluate_loss(theta, ctx)
+        for field in dataclasses.fields(expected):
+            a = getattr(breakdown, field.name)
+            b = getattr(expected, field.name)
+            if field.name == "state":
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
+        assert breakdown == expected and hash(breakdown) == hash(expected)
 
     def test_gradient_against_coarse_differences(self, ctx3):
         theta = np.linspace(-1.0, 1.0, ctx3.n_params)
-        g = gradient(theta, ctx3)
+        _, g = gradient(theta, ctx3)
         h = 1e-5
         for k in [0, ctx3.n_params // 2, ctx3.n_params - 1]:
             step = np.zeros_like(theta)
@@ -181,13 +191,14 @@ class TestLoss:
         ctx = build_context(dataclasses.replace(problem, load=load), reps)
         theta = rng.uniform(-np.pi, np.pi, ctx.n_params)
         oracle = _richardson_gradient(theta, ctx)
-        err = np.max(np.abs(gradient(theta, ctx) - oracle))
+        err = np.max(np.abs(gradient(theta, ctx)[1] - oracle))
         assert err <= 1e-9 * np.max(np.abs(oracle))
 
-    def test_bfgs_reads_loss_and_gradient_separately(self, monkeypatch):
-        """Every BFGS objective call is one evaluate_loss; the gradient is
-        its own call, so a traced run sees both entry points."""
-        calls = {"objective": 0, "loss": 0, "gradient": 0}
+    def test_one_forward_state_per_bfgs_point(self, monkeypatch):
+        """Every BFGS objective call is one gradient, which reads the loss
+        through one evaluate_loss and so prepares one trial state; the final
+        read of the best restart adds one more."""
+        calls = {"objective": 0, "loss": 0, "gradient": 0, "states": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -205,11 +216,14 @@ class TestLoss:
                             counted("loss", driver.evaluate_loss))
         monkeypatch.setattr(driver, "gradient",
                             counted("gradient", driver.gradient))
+        monkeypatch.setattr(simulator, "ansatz_states",
+                            counted("states", simulator.ansatz_states))
         record, _, _ = optimize(
             make_problem(), OptimizerOptions(seed=0, restarts=2, max_iter=20),
             reps=2)
-        assert record.iterations >= 1 and calls["gradient"] >= 1
-        assert calls["loss"] == calls["objective"] >= 1
+        assert record.iterations >= 1 and calls["objective"] >= 1
+        assert calls["gradient"] == calls["objective"]
+        assert calls["states"] == calls["loss"] == calls["objective"] + 1
 
 
 class TestEngineOracle:
@@ -270,8 +284,8 @@ class TestExtractProfile:
         overlap = float(ctx3.load.vector @ phi)
         from vqpde.driver import LossBreakdown
         breakdown = LossBreakdown(quad, overlap, overlap / quad,
-                                  -overlap ** 2 / (2 * quad))
-        profile = extract_profile(ctx3, breakdown, phi)
+                                  -overlap ** 2 / (2 * quad), phi)
+        profile = extract_profile(ctx3, breakdown)
         np.testing.assert_allclose(profile.state, ctx3.u_ref, atol=1e-10)
         np.testing.assert_allclose(profile.deflections, ctx3.u_ref[0::2],
                                    atol=1e-10)
@@ -284,8 +298,8 @@ class TestExtractProfile:
         overlap = float(ctx3.load.vector @ (-phi))
         from vqpde.driver import LossBreakdown
         breakdown = LossBreakdown(quad, overlap, overlap / quad,
-                                  -overlap ** 2 / (2 * quad))
-        profile = extract_profile(ctx3, breakdown, -phi)
+                                  -overlap ** 2 / (2 * quad), -phi)
+        profile = extract_profile(ctx3, breakdown)
         np.testing.assert_allclose(profile.state, ctx3.u_ref, atol=1e-10)
 
 
