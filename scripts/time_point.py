@@ -1,0 +1,61 @@
+"""Time one BFGS point and one context build per qubit count.
+
+For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
+10 and 12 qubits, prints in milliseconds:
+  point          one ``driver.gradient`` call (the loss and its exact
+                 gradient, which is all one BFGS point costs), the min over
+                 5 blocks of the mean per call in the block;
+  build_context  one ``build_context`` call, the min of 5 calls.
+The header gives the core count and the numpy and scipy versions. BLAS runs
+on one thread, as in the benchmark. Run from the repository root:
+
+    PYTHONPATH=src python scripts/time_point.py
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import time
+
+import numpy as np
+import scipy
+
+from vqpde.driver import build_context, gradient
+from vqpde.fem import BeamProblem, BoundaryCase
+
+REPS = 5
+BLOCKS = 5
+CALLS_PER_BLOCK = {5: 200, 8: 100, 10: 50, 12: 20}
+
+
+def best_mean_ms(fn, calls: int, blocks: int) -> float:
+    best = float("inf")
+    for _ in range(blocks):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return 1e3 * best
+
+
+def main() -> int:
+    print(f"cpu_count={os.cpu_count()} numpy={np.__version__} "
+          f"scipy={scipy.__version__} case=cantilever reps={REPS}")
+    print(f"{'n':>3}{'P':>5}{'point ms':>11}{'build_context ms':>18}")
+    for n, calls in CALLS_PER_BLOCK.items():
+        problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
+                              second_moment=1.0, num_qubits=n,
+                              boundary_case=BoundaryCase.CANTILEVER)
+        ctx = build_context(problem, reps=REPS)
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi, ctx.n_params)
+        point = best_mean_ms(lambda: gradient(theta, ctx), calls, BLOCKS)
+        build = best_mean_ms(lambda: build_context(problem, reps=REPS), 1,
+                             BLOCKS)
+        print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{build:>18.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -242,8 +242,8 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError("--qubits must be comma-separated integers, "
                                   f"got {args.qubits!r}") from None
-            if any(n < 3 for n in qubits):
-                raise ConfigError("sweep qubit counts must be >= 3")
+            if any(n < 3 for n in qubits) or len(set(qubits)) < len(qubits):
+                raise ConfigError("sweep qubit counts must be distinct and >= 3")
             results = run_sweep(config, qubits)
             for n, res in zip(qubits, results):
                 print(f"n={n}: terms={res['structured_terms']} "

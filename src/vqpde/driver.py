@@ -142,7 +142,7 @@ def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
     beam's stiffness scale EI; a state where it falls to 1e-12 or below sits
     in the near-null space and raises.
     """
-    phi = simulator.ansatz_states(theta, ctx.n_qubits, ctx.reps)[:, 0]
+    phi = simulator.ansatz_states(theta, ctx.n_qubits, ctx.reps)
     k_phi = ctx.K_mod @ phi
     quad = np.einsum("i,i->", phi, k_phi)
     if quad <= 1e-12 * np.linalg.norm(k_phi):

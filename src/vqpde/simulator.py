@@ -1,7 +1,7 @@
 """Exact statevector simulation: the real engine and the gate-level oracle.
 
 ``ansatz_states`` is the engine the driver runs: the real-amplitude ansatz
-in float64 for a batch of parameter rows at once. ``ansatz_vjp`` is its
+on one flat float64 state, bit for bit the gate path. ``ansatz_vjp`` is its
 reverse sweep: from the final state and a cotangent lam it returns
 lam . dphi/dtheta for all angles in O(P 2^n). Everything else is the
 gate-level construction that defines the semantics and serves as its oracle
@@ -178,42 +178,58 @@ def _cnot_chain(n: int) -> np.ndarray:
     return out
 
 
-def ansatz_states(thetas: np.ndarray, n: int, reps: int) -> np.ndarray:
-    """Real ansatz states, one column per row of ``thetas``: shape (2^n, B).
-
-    The circuit of ``prepare_ansatz`` in float64, bit for bit: each RY
-    rotates along one axis of the state reshaped to (2^k, 2, 2^(n-1-k), B),
-    and each CNOT chain is one cached index permutation.
-    """
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    B, P = thetas.shape
-    if P != n * (reps + 1):
-        raise ArityError(f"expected {n * (reps + 1)} parameters, got {P}")
-    cos, sin = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    states = np.zeros((2 ** n, B))
-    states[0] = 1.0
-    for layer in range(reps + 1):
-        if layer:
-            states = states[_cnot_chain(n)]
-        for k in range(n):
-            c, s = cos[:, layer * n + k], sin[:, layer * n + k]
-            v = states.reshape(2 ** k, 2, -1, B)
-            a0, a1 = v[:, 0], v[:, 1]
-            t = s * a1
-            a1 *= c
-            a1 += s * a0
-            a0 *= c
-            a0 -= t
-    return states
+@functools.lru_cache(maxsize=None)
+def _cnot_chain_inverse(n: int) -> np.ndarray:
+    """Index map undoing ``_cnot_chain`` on both halves of a (psi | mu) pair
+    of length 2^(n+1): |i> receives the amplitude of the Gray decode of i."""
+    out = np.argsort(np.concatenate([_cnot_chain(n), _cnot_chain(n) + 2 ** n]))
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
-def _cnot_chain_inverse(n: int) -> np.ndarray:
-    """Index map undoing ``_cnot_chain``: |i> receives the amplitude of the
-    Gray decode of i."""
-    out = np.argsort(_cnot_chain(n))
-    out.setflags(write=False)
-    return out
+def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row k: the index map that flips qubit k's bit, and the sign that is -1
+    where that bit is 0 and +1 where it is 1, over a (psi | mu) pair of
+    length 2^(n+1). The first 2^n columns serve a single state."""
+    idx = np.arange(2 ** (n + 1))
+    flip = idx ^ (1 << (n - 1 - np.arange(n))[:, None])
+    sign = np.subtract(idx, flip, dtype=float)  # -bit or +bit, no int copy
+    np.sign(sign, out=sign)
+    flip.setflags(write=False)
+    sign.setflags(write=False)
+    return flip, sign
+
+
+def _angles(theta: np.ndarray, n: int, reps: int) -> np.ndarray:
+    theta, P = np.asarray(theta, dtype=float), n * (reps + 1)
+    if theta.shape != (P,):
+        raise ArityError(f"expected {P} parameters, got shape {theta.shape}")
+    return theta
+
+
+def ansatz_states(theta: np.ndarray, n: int, reps: int) -> np.ndarray:
+    """The real ansatz state at ``theta``, shape (2^n,): ``prepare_ansatz``
+    in float64, bit for bit, because an RY on qubit k, y = sign_k x[flip_k] s
+    and x = c x + y, gives c a0 + (-s a1) and c a1 + s a0, which equal the
+    gate's c a0 - s a1 and s a0 + c a1 exactly (negation is exact and an IEEE
+    add commutes). Each CNOT chain is one cached index permutation.
+    """
+    theta = _angles(theta, n, reps)
+    cos, sin = np.cos(0.5 * theta).tolist(), np.sin(0.5 * theta).tolist()
+    flip, sign = (a[:, :2 ** n] for a in _flip_table(n))
+    state = np.zeros(2 ** n)
+    state[0] = 1.0
+    for j in range(theta.size):
+        k = j % n
+        if j and not k:
+            state = state[_cnot_chain(n)]
+        y = state[flip[k]]
+        y *= sign[k]
+        y *= sin[j]
+        state *= cos[j]
+        state += y
+    return state
 
 
 def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
@@ -221,36 +237,30 @@ def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
     """lam . dphi/dtheta_j for every angle, by one reverse sweep from phi.
 
     ``phi`` is the ansatz state at ``theta``. dRY(t)/dt = RY(pi) RY(t) / 2,
-    and the n rotations of one layer commute, so at the end of a layer the
-    derivative along its angle on qubit k is <mu, Y_k psi> / 2: psi is the
-    state there, mu is lam pulled back through the later (orthogonal) gates
-    and Y = [[0, -1], [1, 0]]. The sweep carries psi and mu as the two
-    columns of one array, undoing each layer on both at once, and reads all
-    the products at the end.
+    so the derivative along an RY on qubit k is <mu, Y_k psi> / 2, with psi
+    the state after the gate, mu lam pulled back through the later
+    (orthogonal) gates and (Y_k psi)_i = sign_k[i] psi[flip_k[i]]. The sweep
+    undoes each RY on the flat pair (psi | mu) as ``ansatz_states`` applies
+    it, with -s, and reads the product from that step's gather first. The
+    layer's RYs undone before it all commute with Y_k and leave it unchanged.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n * (reps + 1),):
-        raise ArityError(
-            f"expected {n * (reps + 1)} parameters, got {theta.size}")
-    cos, sin = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    undo = np.moveaxis(np.array([[cos, sin], [-sin, cos]]), -1, 0)  # RY(-t_j)
-    pair = np.stack([phi, lam], axis=1)        # (2^n, 2): psi, mu
-    snaps = np.empty((reps + 1, 2 ** n, 2))    # (psi, mu) at each layer's end
-    for layer in range(reps, -1, -1):
-        snaps[layer] = pair
-        if layer:
-            for k in range(n):
-                pair = (undo[layer * n + k] @ pair.reshape(2 ** k, 2, -1)
-                        ).reshape(-1, 2)
-            pair = pair[_cnot_chain_inverse(n)]
-    g = np.empty((reps + 1, n))
-    for k in range(n):
-        v = snaps.reshape(reps + 1, 2 ** k, 2, -1, 2)  # axis 2: bit of qubit k
-        psi0, psi1 = v[:, :, 0, :, 0], v[:, :, 1, :, 0]
-        mu0, mu1 = v[:, :, 0, :, 1], v[:, :, 1, :, 1]
-        g[:, k] = (np.einsum("lim,lim->l", mu1, psi0)
-                   - np.einsum("lim,lim->l", mu0, psi1))
-    return 0.5 * g.ravel()
+    theta = _angles(theta, n, reps)
+    cos, sin = np.cos(0.5 * theta).tolist(), np.sin(-0.5 * theta).tolist()
+    flip, sign = _flip_table(n)
+    pair = np.concatenate([phi, lam])
+    g = np.empty(theta.size)
+    for j in range(theta.size - 1, -1, -1):
+        k = j % n
+        y = pair[flip[k]]
+        y *= sign[k]
+        g[j] = y[:2 ** n] @ pair[2 ** n:]
+        if j >= n:
+            y *= sin[j]
+            pair *= cos[j]
+            pair += y
+            if not k:
+                pair = pair[_cnot_chain_inverse(n)]
+    return 0.5 * g
 
 
 def shift_circuit(m: int) -> list[Gate]:

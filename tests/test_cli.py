@@ -261,6 +261,17 @@ class TestMain:
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", path, "--qubits", "2,3"]) == 2
 
+    def test_sweep_rejects_repeated_qubits(self, tmp_path, capsys,
+                                           monkeypatch):
+        """A repeated count would run one case twice into one n3/ directory."""
+        pools = _fake_pool(monkeypatch)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", "3,4,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "distinct" in captured.err
+        assert captured.out == "" and pools == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("qubits", ["a,b", ""])
     def test_sweep_rejects_non_integer_qubits(self, tmp_path, capsys, qubits):
         path = write_config(tmp_path, small_config(tmp_path))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vqpde.pauli_ops import Prefix, StructuredTerm, materialize, pauli_matrix
@@ -124,20 +124,20 @@ class TestAnsatz:
         with pytest.raises(ArityError):
             prepare_ansatz(5, 5, np.zeros(29))
         with pytest.raises(ArityError):
-            ansatz_states(np.zeros((2, 29)), 5, 5)
+            ansatz_states(np.zeros(29), 5, 5)
+        with pytest.raises(ArityError):
+            ansatz_states(np.zeros((1, 30)), 5, 5)
 
-    @pytest.mark.parametrize("n,reps", [(1, 0), (2, 3), (5, 5), (8, 2)])
+    @pytest.mark.parametrize("n,reps", [(1, 0), (2, 3), (5, 5), (8, 2),
+                                        (10, 1), (12, 5)])
     def test_real_engine_equals_gate_path(self, n, reps):
-        """One column per parameter row, bit for bit the gate-built state."""
+        """Each parameter row's state, bit for bit the gate-built state."""
         rng = np.random.default_rng(n + reps)
-        thetas = rng.uniform(-np.pi, np.pi, (4, n * (reps + 1)))
-        states = ansatz_states(thetas, n, reps)
-        assert states.shape == (2 ** n, 4) and states.dtype == np.float64
-        for b, theta in enumerate(thetas):
+        for theta in rng.uniform(-np.pi, np.pi, (4, n * (reps + 1))):
+            state = ansatz_states(theta, n, reps)
+            assert state.shape == (2 ** n,) and state.dtype == np.float64
             np.testing.assert_array_equal(
-                states[:, b], prepare_ansatz(n, reps, theta).real_vector())
-        np.testing.assert_array_equal(ansatz_states(thetas[0], n, reps),
-                                      states[:, :1])
+                state, prepare_ansatz(n, reps, theta).real_vector())
 
 
 class TestAnsatzVjp:
@@ -146,27 +146,30 @@ class TestAnsatzVjp:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), reps=st.integers(0, 4),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=12, reps=5, seed=0)
     def test_matches_parameter_shift(self, n, reps, seed):
-        """lam . dphi/dtheta_k = lam . phi(theta + pi e_k) / 2 for any lam:
-        row 0 of the batch is theta, row k is theta + pi e_k."""
+        """lam . dphi/dtheta_k = lam . phi(theta + pi e_k) / 2 for any lam,
+        with each shifted state theta + pi e_k run through the engine."""
         rng = np.random.default_rng(seed)
         P = n * (reps + 1)
         theta = rng.uniform(-np.pi, np.pi, P)
         lam = rng.normal(size=2 ** n)
-        rows = np.repeat(theta[None, :], P + 1, axis=0)
-        rows[np.arange(1, P + 1), np.arange(P)] += np.pi
-        states = ansatz_states(rows, n, reps)
-        want = 0.5 * (lam @ states[:, 1:])
-        got = ansatz_vjp(theta, n, reps, states[:, 0], lam)
+        rows = np.repeat(theta[None, :], P, axis=0)
+        rows[np.arange(P), np.arange(P)] += np.pi
+        want = np.array([0.5 * (lam @ ansatz_states(row, n, reps))
+                         for row in rows])
+        got = ansatz_vjp(theta, n, reps, ansatz_states(theta, n, reps), lam)
         assert got.shape == (P,)
         # Relative to ||lam||, the bound of every |g_k| (||dphi/dtheta_k|| is
         # 1/2): at n = 1 a single product can cancel to ~1e-4 of it.
         assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(lam)
 
     def test_parameter_count(self):
-        phi = ansatz_states(np.zeros(30), 5, 5)[:, 0]
+        phi = ansatz_states(np.zeros(30), 5, 5)
         with pytest.raises(ArityError):
             ansatz_vjp(np.zeros(29), 5, 5, phi, phi)
+        with pytest.raises(ArityError):
+            ansatz_vjp(np.zeros((1, 30)), 5, 5, phi, phi)
 
 
 class TestShiftCircuit:
