@@ -2,9 +2,10 @@
 
 Configuration: L = 10 m, E = 1000, I = 1, n = 5 qubits, reps = 5, seeded
 best-of-5-restart BFGS. Per-case artifacts (result.json, convergence.csv,
-profile.csv) land in results/<case>/. The status column is scipy's BFGS
-status of the chosen restart: 0 converged, 1 stopped at max_iter, 2 line
-search lost precision.
+profile.csv) land in results/<case>/. The iters, nfev and status columns
+are the chosen restart's BFGS iterations, its objective evaluations (one
+`gradient` call each) and scipy's status: 0 converged, 1 stopped at
+max_iter, 2 line search lost precision.
 """
 
 import argparse
@@ -39,16 +40,17 @@ def main(argv=None) -> int:
         print(f"running {case} ...", flush=True)
         result = run_case(config, output_dir=str(out))
         m = result["metrics"]
-        rows.append((case, result["convergence"]["iterations"],
-                     result["convergence"]["status"], m["accuracy_pct"],
+        conv = result["convergence"]
+        rows.append((case, conv["iterations"], conv["function_evals"],
+                     conv["status"], m["accuracy_pct"],
                      m["relative_error"], m["fidelity"],
                      result["wall_time_seconds"]))
 
-    print(f"\n{'case':<12}{'iters':>7}{'status':>8}{'accuracy %':>12}"
-          f"{'rel err':>12}{'fidelity':>12}{'wall s':>9}")
-    for case, iters, status, acc, rel, fid, wall in rows:
-        print(f"{case:<12}{iters:>7}{status:>8}{acc:>12.4f}{rel:>12.6f}"
-              f"{fid:>12.8f}{wall:>9.1f}")
+    print(f"\n{'case':<12}{'iters':>7}{'nfev':>7}{'status':>8}"
+          f"{'accuracy %':>12}{'rel err':>12}{'fidelity':>12}{'wall s':>9}")
+    for case, iters, nfev, status, acc, rel, fid, wall in rows:
+        print(f"{case:<12}{iters:>7}{nfev:>7}{status:>8}{acc:>12.4f}"
+              f"{rel:>12.6f}{fid:>12.8f}{wall:>9.1f}")
     return 0
 
 

@@ -1,18 +1,22 @@
 """Variational minimization of the discretized beam energy.
 
-The loss for a trial state phi(theta) is -overlap^2 / (2 quad) with
+The loss for a trial state phi(theta) is L = -overlap^2 / (2 quad) with
 quad = <phi|K_mod|phi> and overlap = <f,phi| X (x) I |f,phi>. The scale
-factor c* = overlap/quad is closed-form, so only theta is optimized (BFGS
-with exact gradients).
+factor c* = overlap/quad is closed-form, so only theta is optimized: BFGS
+minimises the scale-free f = -log(-L), which has L's minimiser and the
+gradient grad L / |L|. L is about 1e-8 at n = 5 and 1e-14 at n = 10 from a
+random start, and f's first step, its stopping rule and its path do not
+depend on that size or on EI. Everything recorded stays in units of L.
 
 The loss and the final state come from one real float64 engine,
 ``simulator.ansatz_states``, read by ``evaluate_loss`` against the one sparse
-``K_mod``. ``gradient`` returns that read together with the exact gradient,
-one reverse sweep from the same state (``simulator.ansatz_vjp``, O(P 2^n)),
-so each BFGS point prepares its trial state once. The paper's measurement
-recipe for quad, the structured Pauli terms plus one LSBT pair observable per
-removed coupling, and the ancilla overlap circuit are the gate-level oracles
-for those reads, checked against ``K_mod`` by ``verify.py`` and the tests.
+``K_mod``. ``gradient`` returns that read together with the exact gradient of
+L, one reverse sweep from the same state (``simulator.ansatz_vjp``,
+O(P 2^n)), so each BFGS point prepares its trial state once. The paper's
+measurement recipe for quad, the structured Pauli terms plus one LSBT pair
+observable per removed coupling, and the ancilla overlap circuit are the
+gate-level oracles for those reads, checked against ``K_mod`` by
+``verify.py`` and the tests.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class LossBreakdown:
     c_star: float
     loss: float
     state: np.ndarray = field(compare=False)  # unit phi; not in == or hash
+    k_phi: np.ndarray | None = field(default=None, compare=False)  # K_mod phi
 
 
 @dataclass
@@ -147,7 +152,7 @@ def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
     quad = np.einsum("i,i->", phi, k_phi)
     if quad <= 1e-12 * np.linalg.norm(k_phi):
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return _breakdown(quad, ctx.load.vector @ phi, phi)
+    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi)
 
 
 def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
@@ -156,12 +161,14 @@ def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown
     return _breakdown(phi @ ctx.K_mod @ phi, ctx.load.vector @ phi, phi)
 
 
-def _breakdown(quad: float, overlap: float, phi: np.ndarray) -> LossBreakdown:
+def _breakdown(quad: float, overlap: float, phi: np.ndarray,
+               k_phi: np.ndarray | None = None) -> LossBreakdown:
     if quad <= 0.0:  # the dense path's guard; the engine's is in evaluate_loss
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return LossBreakdown(quad=float(quad), overlap=float(overlap),
                          c_star=float(overlap / quad),
-                         loss=float(-overlap ** 2 / (2.0 * quad)), state=phi)
+                         loss=float(-overlap ** 2 / (2.0 * quad)), state=phi,
+                         k_phi=k_phi)
 
 
 def gradient(theta: np.ndarray, ctx: ProblemContext
@@ -171,10 +178,11 @@ def gradient(theta: np.ndarray, ctx: ProblemContext
     The loss is one ``evaluate_loss`` read. With lam = dL/dphi =
     (o/q)((o/q) K_mod phi - f), the gradient is lam . dphi/dtheta, which
     ``simulator.ansatz_vjp`` reads by walking the ansatz backwards from phi.
+    K_mod phi is the read's own ``k_phi``.
     """
     b = evaluate_loss(theta, ctx)
     c = b.c_star
-    lam = c * (c * (ctx.K_mod @ b.state) - ctx.load.vector)
+    lam = c * (c * b.k_phi - ctx.load.vector)
     return b, simulator.ansatz_vjp(theta, ctx.n_qubits, ctx.reps, b.state, lam)
 
 
@@ -195,27 +203,47 @@ def extract_profile(ctx: ProblemContext,
 
 def _descend(theta0: np.ndarray, ctx: ProblemContext,
              opts: OptimizerOptions) -> dict:
-    """One BFGS descent from ``theta0``, with its loss and gradient history."""
-    history, grad_history = [], []  # loss and max |gradient| per iterate
-    last_grad_norm = np.nan
+    """One BFGS descent on f = -log(-L) from ``theta0``.
+
+    Each BFGS point is one ``gradient`` call, divided by |L|. ``grad_tol``
+    bounds max |grad f| = max |grad L| / |L|. A start with overlap exactly 0
+    has L = 0 and grad L = 0; f is +inf there and the descent is ``stalled``.
+    The history holds L and max |grad f| per iterate, and ``breakdown`` is
+    the read at ``x``.
+    """
+    history, grad_history = [], []
+    last = None  # theta, breakdown and max |grad f| of the latest evaluation
 
     def fun(th):
-        nonlocal last_grad_norm
+        nonlocal last
         b, g = gradient(th, ctx)
-        last_grad_norm = float(np.max(np.abs(g)))
-        return b.loss, g
+        size = -b.loss  # |L|, since L <= 0
+        if not size > 0.0:
+            last = (th.copy(), b, np.inf)
+            return np.inf, g
+        g = g / size
+        last = (th.copy(), b, float(np.max(np.abs(g))))
+        return -np.log(size), g
 
     def callback(intermediate_result):
-        history.append(float(intermediate_result.fun))
-        grad_history.append(last_grad_norm)
+        # scipy's line searches accept the point they evaluated last, so
+        # BFGS calls back at ``last``.
+        history.append(last[1].loss)
+        grad_history.append(last[2])
 
     res = scipy.optimize.minimize(
         fun, theta0, jac=True, method="BFGS", callback=callback,
         options={"gtol": opts.grad_tol, "maxiter": opts.max_iter})
-    return {"fun": float(res.fun), "x": res.x, "nit": int(res.nit),
+    # A failed line search leaves x at the last accepted point, not at the
+    # last evaluated one.
+    th, b, _ = last
+    if not np.array_equal(res.x, th):
+        b = evaluate_loss(res.x, ctx)
+    return {"fun": b.loss, "breakdown": b, "x": res.x, "nit": int(res.nit),
             "status": int(res.status), "message": str(res.message),
             "nfev": int(res.nfev), "history": history,
-            "grad_history": grad_history}
+            "grad_history": grad_history,
+            "stalled": not np.isfinite(res.fun)}
 
 
 def optimize(problem: BeamProblem, opts: OptimizerOptions,
@@ -224,11 +252,11 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
              ) -> tuple[ConvergenceRecord, SolutionProfile, LossBreakdown]:
     """Best-of-restarts BFGS minimization of the reduced loss.
 
-    A start where <f|phi> is about zero has a loss and gradient of about zero;
-    BFGS stops there at once on precision loss (nit 0, status 2). Such a
-    restart is drawn again, once, from the same generator. A restart that
-    hits a near-singular state is recorded as failed and the others go on;
-    if none is left, OptimizationFailedError.
+    BFGS descends on f = -log(-L); the records are in units of L. A start
+    with <f|phi> exactly zero, where f is +inf and BFGS cannot move, is
+    drawn again, once, from the same generator.
+    A restart that hits a near-singular state is recorded as failed and the
+    others go on; if none is left, OptimizationFailedError.
     """
     if ctx is None:
         ctx = build_context(problem, reps, bc)
@@ -241,7 +269,7 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         redrawn = False
         try:
             run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params), ctx, opts)
-            if run["nit"] == 0 and run["status"] == 2:
+            if run["stalled"]:
                 redrawn = True
                 run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params),
                                ctx, opts)
@@ -262,7 +290,7 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         reason = f": {'; '.join(errors)}" if errors else ""
         raise OptimizationFailedError("all restarts failed" + reason)
 
-    breakdown = evaluate_loss(best["x"], ctx)
+    breakdown = best["breakdown"]
     profile = extract_profile(ctx, breakdown)
     record = ConvergenceRecord(
         iterations=best["nit"], loss_history=best["history"],

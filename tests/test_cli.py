@@ -147,13 +147,12 @@ class TestMain:
         assert "relative_error" in out
 
     def test_zero_iteration_run_writes_strict_json(self, tmp_path, capsys):
-        # BFGS stops this run after 0 iterations under the absolute grad_tol,
-        # so the loss history is empty and rmse_objective has no value.
+        # A budget of 0 iterations leaves the loss history empty, so
+        # rmse_objective has no value.
         cfg = small_config(
             tmp_path, problem={"length": 3.0, "youngs_modulus": 1000.0,
                                "num_qubits": 6, "boundary_case": "ssb"},
-            optimizer={"seed": 0, "restarts": 1})
-        cfg["optimizer"].pop("max_iter")
+            optimizer={"seed": 0, "restarts": 1, "max_iter": 0})
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestLoss:
         for field in dataclasses.fields(expected):
             a = getattr(breakdown, field.name)
             b = getattr(expected, field.name)
-            if field.name == "state":
+            if isinstance(a, np.ndarray):  # state and k_phi
                 assert np.array_equal(a, b)
             else:
                 assert a == b
@@ -196,9 +197,12 @@ class TestLoss:
 
     def test_one_forward_state_per_bfgs_point(self, monkeypatch):
         """Every BFGS objective call is one gradient, which reads the loss
-        through one evaluate_loss and so prepares one trial state; the final
-        read of the best restart adds one more."""
+        through one evaluate_loss and so prepares one trial state. BFGS calls
+        back at its last evaluated point, whose read the history reuses. A
+        descent that ends there reuses it too; one that ends elsewhere (a
+        failed line search) reads its end point once more."""
         calls = {"objective": 0, "loss": 0, "gradient": 0, "states": 0}
+        rereads = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -208,8 +212,21 @@ class TestLoss:
 
         minimize = scipy.optimize.minimize
 
-        def counted_minimize(fun, x0, *args, **kwargs):
-            return minimize(counted("objective", fun), x0, *args, **kwargs)
+        def counted_minimize(fun, x0, *args, callback, **kwargs):
+            seen = []
+
+            def objective(th):
+                seen.append(th.copy())
+                return fun(th)
+
+            def checked(intermediate_result):
+                assert np.array_equal(intermediate_result.x, seen[-1])
+                callback(intermediate_result)
+
+            res = minimize(counted("objective", objective), x0, *args,
+                           callback=checked, **kwargs)
+            rereads.append(not np.array_equal(res.x, seen[-1]))
+            return res
 
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
         monkeypatch.setattr(driver, "evaluate_loss",
@@ -218,12 +235,21 @@ class TestLoss:
                             counted("gradient", driver.gradient))
         monkeypatch.setattr(simulator, "ansatz_states",
                             counted("states", simulator.ansatz_states))
-        record, _, _ = optimize(
-            make_problem(), OptimizerOptions(seed=0, restarts=2, max_iter=20),
-            reps=2)
-        assert record.iterations >= 1 and calls["objective"] >= 1
-        assert calls["gradient"] == calls["objective"]
-        assert calls["states"] == calls["loss"] == calls["objective"] + 1
+        # 20 iterations end both restarts at their last evaluation; within
+        # 2000 both end on a failed line search.
+        for max_iter, ends in ((20, [1, 1]), (2000, [2, 2])):
+            calls.update(dict.fromkeys(calls, 0))
+            rereads.clear()
+            record, _, _ = optimize(
+                make_problem(),
+                OptimizerOptions(seed=0, restarts=2, max_iter=max_iter),
+                reps=2)
+            assert [e["status"] for e in record.restarts] == ends
+            assert rereads == [status == 2 for status in ends]
+            assert record.iterations >= 1 and calls["objective"] >= 1
+            assert calls["gradient"] == calls["objective"]
+            assert (calls["states"] == calls["loss"]
+                    == calls["objective"] + sum(rereads))
 
 
 class TestEngineOracle:
@@ -264,16 +290,43 @@ class TestEngineOracle:
             reps=2)
         assert record.iterations >= 1 and np.isfinite(breakdown.loss)
 
-    def test_stalled_start_is_redrawn(self):
-        """At this start <f|phi> ~ 0, so BFGS stops at nit 0 (status 2)."""
+    def test_near_zero_overlap_start_descends(self):
+        """At this start <f|phi> ~ 0 and L ~ 0. On the plain loss BFGS stopped
+        here at nit 0; -log(-L) is scale-free, so it descends."""
         problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
                               second_moment=1.0, num_qubits=10,
                               boundary_case=BoundaryCase.PBC)
         opts = OptimizerOptions(seed=430063189, restarts=1, max_iter=4,
                                 grad_tol=0.0)
-        record, _, _ = optimize(problem, opts, reps=5)
+        ctx = build_context(problem, reps=5)
+        start = np.random.default_rng(opts.seed).uniform(-np.pi, np.pi,
+                                                         ctx.n_params)
+        record, _, breakdown = optimize(problem, opts, ctx=ctx)
         assert record.iterations == 4
-        assert record.restarts[0]["redrawn"] is True
+        assert record.restarts[0]["redrawn"] is False
+        assert breakdown.loss < evaluate_loss(start, ctx).loss
+
+    def test_zero_overlap_start_is_redrawn(self, monkeypatch):
+        """At theta = 0 the state is |0>, and DOF 0 carries no load, so
+        <f|phi> = 0 and L = 0: f = -log(-L) is +inf there, with no warning,
+        and the start is drawn again."""
+        ctx = build_context(make_problem(), reps=2)
+        opts = OptimizerOptions(seed=0, restarts=1, max_iter=20)
+        descend, starts = driver._descend, []
+
+        def first_at_zero(theta0, *args):
+            starts.append(np.zeros_like(theta0) if not starts else theta0)
+            return descend(starts[-1], *args)
+
+        monkeypatch.setattr(driver, "_descend", first_at_zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = descend(np.zeros(ctx.n_params), ctx, opts)
+            record, _, breakdown = optimize(make_problem(), opts, ctx=ctx)
+        assert ctx.load.vector[0] == 0.0 and run["fun"] == 0.0
+        assert run["nit"] == 0 and run["stalled"]
+        assert len(starts) == 2 and record.restarts[0]["redrawn"] is True
+        assert record.iterations == 20 and breakdown.loss < 0.0
 
 
 class TestExtractProfile:
@@ -343,3 +396,28 @@ class TestOptimize:
         record, _, bd = optimize(
             problem, OptimizerOptions(seed=5, restarts=1, max_iter=200), reps=2)
         assert bd.loss <= record.loss_history[0] + 1e-12
+
+    def test_path_does_not_depend_on_stiffness(self):
+        """L scales as 1/EI, so f = -log(-L) only shifts by log EI and its
+        gradient grad L / |L| does not change: same path for any E."""
+        runs = []
+        for E in (1e-3, 1e3, 1e9):
+            problem = make_problem(BoundaryCase.SSB, 5, length=10.0,
+                                   youngs_modulus=E)
+            runs.append(optimize(problem, OptimizerOptions(
+                seed=0, restarts=1, max_iter=15), reps=5)[0])
+        for record in runs[1:]:
+            assert record.iterations == runs[0].iterations == 15
+            assert record.function_evals == runs[0].function_evals
+            np.testing.assert_allclose(record.theta_final,
+                                       runs[0].theta_final, rtol=0, atol=1e-9)
+
+    def test_default_grad_tol_descends_at_seven_qubits(self):
+        """grad_tol bounds max |grad L| / |L|; as an absolute bound it ended
+        this run at nit 0, where max |grad L| is 5e-10 and L is -2e-11."""
+        problem = make_problem(BoundaryCase.SSB, 7, length=10.0,
+                               youngs_modulus=1000.0)
+        record, _, _ = optimize(problem, OptimizerOptions(
+            seed=0, restarts=1, max_iter=20), reps=5)
+        assert record.iterations == 20 and record.status == 1
+        assert len(record.loss_history) == 20
