@@ -5,6 +5,10 @@ For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
   point          one ``driver.gradient`` call (the loss and its exact
                  gradient, which is all one BFGS point costs), the min over
                  5 blocks of the mean per call in the block;
+  states         its forward half, one ``simulator.ansatz_states`` call
+                 (state preparation), timed the same way;
+  vjp            its reverse half, one ``simulator.ansatz_vjp`` call (the
+                 gradient's reverse sweep), timed the same way;
   build_context  one ``build_context`` call, the min of 5 calls.
 The header gives the core count and the numpy and scipy versions. BLAS runs
 on one thread, as in the benchmark. Run from the repository root:
@@ -24,6 +28,7 @@ import scipy
 
 from vqpde.driver import build_context, gradient
 from vqpde.fem import BeamProblem, BoundaryCase
+from vqpde.simulator import ansatz_states, ansatz_vjp
 
 REPS = 5
 BLOCKS = 5
@@ -43,7 +48,8 @@ def best_mean_ms(fn, calls: int, blocks: int) -> float:
 def main() -> int:
     print(f"cpu_count={os.cpu_count()} numpy={np.__version__} "
           f"scipy={scipy.__version__} case=cantilever reps={REPS}")
-    print(f"{'n':>3}{'P':>5}{'point ms':>11}{'build_context ms':>18}")
+    print(f"{'n':>3}{'P':>5}{'point ms':>11}{'states ms':>11}{'vjp ms':>9}"
+          f"{'build_context ms':>18}")
     for n, calls in CALLS_PER_BLOCK.items():
         problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
                               second_moment=1.0, num_qubits=n,
@@ -51,9 +57,16 @@ def main() -> int:
         ctx = build_context(problem, reps=REPS)
         theta = np.random.default_rng(0).uniform(-np.pi, np.pi, ctx.n_params)
         point = best_mean_ms(lambda: gradient(theta, ctx), calls, BLOCKS)
+        b = gradient(theta, ctx)[0]
+        lam = b.c_star * (b.c_star * b.k_phi - ctx.load.vector)
+        states = best_mean_ms(lambda: ansatz_states(theta, n, REPS), calls,
+                              BLOCKS)
+        vjp = best_mean_ms(lambda: ansatz_vjp(theta, n, REPS, b.state, lam),
+                           calls, BLOCKS)
         build = best_mean_ms(lambda: build_context(problem, reps=REPS), 1,
                              BLOCKS)
-        print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{build:>18.3f}")
+        print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{states:>11.3f}"
+              f"{vjp:>9.3f}{build:>18.3f}")
     return 0
 
 

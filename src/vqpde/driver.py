@@ -11,12 +11,12 @@ depend on that size or on EI. Everything recorded stays in units of L.
 The loss and the final state come from one real float64 engine,
 ``simulator.ansatz_states``, read by ``evaluate_loss`` against the one sparse
 ``K_mod``. ``gradient`` returns that read together with the exact gradient of
-L, one reverse sweep from the same state (``simulator.ansatz_vjp``,
-O(P 2^n)), so each BFGS point prepares its trial state once. The paper's
-measurement recipe for quad, the structured Pauli terms plus one LSBT pair
-observable per removed coupling, and the ancilla overlap circuit are the
-gate-level oracles for those reads, checked against ``K_mod`` by
-``verify.py`` and the tests.
+L, one reverse sweep from the same state that undoes one RY layer per step
+(``simulator.ansatz_vjp``), so each BFGS point prepares its trial state
+once. The paper's measurement recipe for quad, the structured Pauli terms
+plus one LSBT pair observable per removed coupling, and the ancilla overlap
+circuit are the gate-level oracles for those reads, checked against
+``K_mod`` by ``verify.py`` and the tests.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ class ConvergenceRecord:
     restart_index: int
     status: int   # scipy's BFGS status of the chosen restart
     message: str
-    # Per restart: loss, nit, nfev, status, message, redrawn and error; a
-    # failed restart has its error and None in the other fields.
+    # Per restart: loss, nit, nfev, status, message, grad_norm, redrawn and
+    # error; a failed restart has its error and None in the other fields.
     restarts: list[dict]
 
     @property
@@ -208,8 +208,10 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
     Each BFGS point is one ``gradient`` call, divided by |L|. ``grad_tol``
     bounds max |grad f| = max |grad L| / |L|. A start with overlap exactly 0
     has L = 0 and grad L = 0; f is +inf there and the descent is ``stalled``.
-    The history holds L and max |grad f| per iterate, and ``breakdown`` is
-    the read at ``x``.
+    The history holds L and max |grad f| per iterate, ``breakdown`` is the
+    read at ``x`` and ``grad_norm`` is max |grad f| there: scipy's ``jac`` is
+    the gradient at its last accepted point, the start when nit is 0. It is
+    None where f is +inf.
     """
     history, grad_history = [], []
     last = None  # theta, breakdown and max |grad f| of the latest evaluation
@@ -243,6 +245,8 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
             "status": int(res.status), "message": str(res.message),
             "nfev": int(res.nfev), "history": history,
             "grad_history": grad_history,
+            "grad_norm": (float(np.max(np.abs(res.jac)))
+                          if np.isfinite(res.fun) else None),
             "stalled": not np.isfinite(res.fun)}
 
 
@@ -276,11 +280,13 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
         except NearSingularEnergyError as exc:
             restarts.append({"loss": None, "nit": None, "nfev": None,
                              "status": None, "message": None,
-                             "redrawn": redrawn, "error": str(exc)})
+                             "grad_norm": None, "redrawn": redrawn,
+                             "error": str(exc)})
             continue
         restarts.append({"loss": run["fun"], "nit": run["nit"],
                          "nfev": run["nfev"], "status": run["status"],
-                         "message": run["message"], "redrawn": redrawn,
+                         "message": run["message"],
+                         "grad_norm": run["grad_norm"], "redrawn": redrawn,
                          "error": None})
         if best is None or run["fun"] < best["fun"]:
             best = dict(run, restart=r)

@@ -1,9 +1,10 @@
 """Exact statevector simulation: the real engine and the gate-level oracle.
 
 ``ansatz_states`` is the engine the driver runs: the real-amplitude ansatz
-on one flat float64 state, bit for bit the gate path. ``ansatz_vjp`` is its
-reverse sweep: from the final state and a cotangent lam it returns
-lam . dphi/dtheta for all angles in O(P 2^n). Everything else is the
+on one flat float64 state, bit for bit the gate path, one RY at a time.
+``ansatz_vjp`` is its reverse sweep: from the final state and a cotangent lam
+it returns lam . dphi/dtheta for all angles, undoing one whole RY layer per
+step with two Kronecker-factor matmuls. Everything else is the
 gate-level construction that defines the semantics and serves as its oracle
 (used by ``verify.py`` and the tests only): complex ``Statevector`` gate
 application, the increment (shift) circuit, the ancilla-based superposition
@@ -180,9 +181,9 @@ def _cnot_chain(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _cnot_chain_inverse(n: int) -> np.ndarray:
-    """Index map undoing ``_cnot_chain`` on both halves of a (psi | mu) pair
-    of length 2^(n+1): |i> receives the amplitude of the Gray decode of i."""
-    out = np.argsort(np.concatenate([_cnot_chain(n), _cnot_chain(n) + 2 ** n]))
+    """Index map undoing ``_cnot_chain``: |i> receives the amplitude of the
+    Gray decode of i."""
+    out = np.argsort(_cnot_chain(n))
     out.setflags(write=False)
     return out
 
@@ -190,9 +191,8 @@ def _cnot_chain_inverse(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row k: the index map that flips qubit k's bit, and the sign that is -1
-    where that bit is 0 and +1 where it is 1, over a (psi | mu) pair of
-    length 2^(n+1). The first 2^n columns serve a single state."""
-    idx = np.arange(2 ** (n + 1))
+    where that bit is 0 and +1 where it is 1, over one state of length 2^n."""
+    idx = np.arange(2 ** n)
     flip = idx ^ (1 << (n - 1 - np.arange(n))[:, None])
     sign = np.subtract(idx, flip, dtype=float)  # -bit or +bit, no int copy
     np.sign(sign, out=sign)
@@ -217,7 +217,7 @@ def ansatz_states(theta: np.ndarray, n: int, reps: int) -> np.ndarray:
     """
     theta = _angles(theta, n, reps)
     cos, sin = np.cos(0.5 * theta).tolist(), np.sin(0.5 * theta).tolist()
-    flip, sign = (a[:, :2 ** n] for a in _flip_table(n))
+    flip, sign = _flip_table(n)
     state = np.zeros(2 ** n)
     state[0] = 1.0
     for j in range(theta.size):
@@ -232,35 +232,66 @@ def ansatz_states(theta: np.ndarray, n: int, reps: int) -> np.ndarray:
     return state
 
 
+def _kron_layers(rot: np.ndarray) -> np.ndarray:
+    """Per layer l, the Kronecker product of the 2x2 rotations rot[l, k],
+    shape (L, 2^m, 2^m) from rot of shape (L, m, 2, 2), with factor 0 the
+    most significant. One broadcast multiply per factor, each new factor
+    taken as the more significant one, so the innermost axis stays long."""
+    L, m = rot.shape[:2]
+    out = rot[:, m - 1] if m else np.ones((L, 1, 1))
+    for k in range(m - 2, -1, -1):
+        d = out.shape[1]
+        out = (rot[:, k, :, None, :, None] * out[:, None, :, None, :]
+               ).reshape(L, 2 * d, 2 * d)
+    return out
+
+
 def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
                lam: np.ndarray) -> np.ndarray:
     """lam . dphi/dtheta_j for every angle, by one reverse sweep from phi.
 
     ``phi`` is the ansatz state at ``theta``. dRY(t)/dt = RY(pi) RY(t) / 2,
-    so the derivative along an RY on qubit k is <mu, Y_k psi> / 2, with psi
-    the state after the gate, mu lam pulled back through the later
-    (orthogonal) gates and (Y_k psi)_i = sign_k[i] psi[flip_k[i]]. The sweep
-    undoes each RY on the flat pair (psi | mu) as ``ansatz_states`` applies
-    it, with -s, and reads the product from that step's gather first. The
-    layer's RYs undone before it all commute with Y_k and leave it unchanged.
+    and Y_k = RY(pi) on qubit k commutes with every RY of its layer, so the
+    derivative along the RY of layer l on qubit k is <mu_l, Y_k psi_l> / 2,
+    with psi_l the state after layer l and mu_l lam pulled back through the
+    later (orthogonal) gates. The sweep undoes one layer per step on the
+    pair (psi | mu), each state viewed as a 2^h x 2^(n-h) matrix X, h = n // 2:
+    rows are qubits 0..h-1, columns qubits h..n-1. The layer's RYs act as
+    X -> A X B^T with A and B the Kronecker products of the row and column
+    rotations, so undoing it is X -> A^T X B, two matmuls, and the CNOT chain
+    before it is one gather. The reads come from two small products: for a
+    row qubit, sum_i sign_k[i] C[i, flip_k[i]] with C = mu psi^T, and for a
+    column qubit the same on D = mu^T psi, with the flip tables of h and
+    n - h qubits. That is O(L 2^n (2^h + 2^(n-h))) in BLAS for L = reps + 1
+    layers, and no per-layer snapshot.
     """
     theta = _angles(theta, n, reps)
-    cos, sin = np.cos(0.5 * theta).tolist(), np.sin(-0.5 * theta).tolist()
-    flip, sign = _flip_table(n)
-    pair = np.concatenate([phi, lam])
-    g = np.empty(theta.size)
-    for j in range(theta.size - 1, -1, -1):
-        k = j % n
-        y = pair[flip[k]]
-        y *= sign[k]
-        g[j] = y[:2 ** n] @ pair[2 ** n:]
-        if j >= n:
-            y *= sin[j]
-            pair *= cos[j]
-            pair += y
-            if not k:
-                pair = pair[_cnot_chain_inverse(n)]
-    return 0.5 * g
+    h = n // 2
+    rows, cols = 2 ** h, 2 ** (n - h)
+    half = 0.5 * theta.reshape(reps + 1, n)
+    cos, sin = np.cos(half), np.sin(half)
+    rot = np.empty((reps + 1, n, 2, 2))  # RY(t) = [[c, -s], [s, c]]
+    rot[..., 0, 0] = cos
+    rot[..., 1, 1] = cos
+    rot[..., 1, 0] = sin
+    np.negative(sin, out=rot[..., 0, 1])
+    # Layer 0 is read, never undone.
+    a, b = _kron_layers(rot[1:, :h]), _kron_layers(rot[1:, h:])
+    row_flip, row_sign = _flip_table(h)
+    col_flip, col_sign = _flip_table(n - h)
+    row_idx, col_idx = np.arange(rows), np.arange(cols)
+    unchain = _cnot_chain_inverse(n)
+    pair = np.concatenate([phi, lam]).reshape(2, rows, cols)
+    g = np.empty((reps + 1, n))
+    for layer in range(reps, -1, -1):
+        psi, mu = pair
+        g[layer, :h] = (row_sign * (mu @ psi.T)[row_idx, row_flip]).sum(axis=1)
+        g[layer, h:] = (col_sign * (mu.T @ psi)[col_idx, col_flip]).sum(axis=1)
+        if layer:
+            pair = a[layer - 1].T @ pair @ b[layer - 1]
+            pair = pair.reshape(2, -1).take(unchain, axis=1).reshape(
+                2, rows, cols)
+    return 0.5 * g.ravel()
 
 
 def shift_circuit(m: int) -> list[Gate]:

@@ -194,7 +194,10 @@ class TestMain:
         assert restarts[0]["loss"] is not None
         assert convergence["restart_index"] != 1
         assert set(restarts[0]) == {"loss", "nit", "nfev", "status", "message",
-                                    "redrawn", "error"}
+                                    "grad_norm", "redrawn", "error"}
+        assert set(restarts[1]) == set(restarts[0])
+        assert restarts[1]["grad_norm"] is None
+        assert restarts[0]["grad_norm"] > 0.0
 
     def test_degenerate_state_exit_one(self, tmp_path, monkeypatch, capsys):
         def degenerate(*args, **kwargs):

@@ -324,7 +324,7 @@ class TestEngineOracle:
             run = descend(np.zeros(ctx.n_params), ctx, opts)
             record, _, breakdown = optimize(make_problem(), opts, ctx=ctx)
         assert ctx.load.vector[0] == 0.0 and run["fun"] == 0.0
-        assert run["nit"] == 0 and run["stalled"]
+        assert run["nit"] == 0 and run["stalled"] and run["grad_norm"] is None
         assert len(starts) == 2 and record.restarts[0]["redrawn"] is True
         assert record.iterations == 20 and breakdown.loss < 0.0
 
@@ -421,3 +421,24 @@ class TestOptimize:
             seed=0, restarts=1, max_iter=20), reps=5)
         assert record.iterations == 20 and record.status == 1
         assert len(record.loss_history) == 20
+
+    def test_restart_grad_norm_is_end_point_gradient(self, ctx3):
+        """Each restart's grad_norm is max |grad L| / |L| at its end point:
+        the last callback's value, whether the descent stops at max_iter
+        (status 1) or on a failed line search (status 2), and the start's
+        evaluation when nit is 0."""
+        theta0 = np.random.default_rng(0).uniform(-np.pi, np.pi,
+                                                  ctx3.n_params)
+        b, g = gradient(theta0, ctx3)
+        run = driver._descend(theta0, ctx3, OptimizerOptions(max_iter=0))
+        assert run["nit"] == 0 and run["grad_history"] == []
+        assert run["grad_norm"] == np.max(np.abs(g / b.loss))
+        for max_iter, status in ((20, 1), (2000, 2)):
+            run = driver._descend(theta0, ctx3,
+                                  OptimizerOptions(max_iter=max_iter))
+            assert run["status"] == status and run["nit"] >= 1
+            assert run["grad_norm"] == run["grad_history"][-1]
+        record, _, _ = optimize(make_problem(), OptimizerOptions(
+            seed=0, restarts=2, max_iter=20), reps=2, ctx=ctx3)
+        chosen = record.restarts[record.restart_index]
+        assert chosen["grad_norm"] == record.grad_norm_history[-1]

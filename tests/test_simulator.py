@@ -147,6 +147,8 @@ class TestAnsatzVjp:
     @given(n=st.integers(1, 8), reps=st.integers(0, 4),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(n=12, reps=5, seed=0)
+    @example(n=1, reps=0, seed=0)   # h = 0: the row factor is 1 x 1
+    @example(n=7, reps=12, seed=0)  # odd n: 8 rows, 16 columns; deep ansatz
     def test_matches_parameter_shift(self, n, reps, seed):
         """lam . dphi/dtheta_k = lam . phi(theta + pi e_k) / 2 for any lam,
         with each shifted state theta + pi e_k run through the engine."""
@@ -158,7 +160,13 @@ class TestAnsatzVjp:
         rows[np.arange(P), np.arange(P)] += np.pi
         want = np.array([0.5 * (lam @ ansatz_states(row, n, reps))
                          for row in rows])
-        got = ansatz_vjp(theta, n, reps, ansatz_states(theta, n, reps), lam)
+        phi = ansatz_states(theta, n, reps)
+        phi0, lam0 = phi.copy(), lam.copy()
+        got = ansatz_vjp(theta, n, reps, phi, lam)
+        # phi is the caller's state (LossBreakdown.state): no step of the
+        # sweep may write through to it, or to lam.
+        np.testing.assert_array_equal(phi, phi0)
+        np.testing.assert_array_equal(lam, lam0)
         assert got.shape == (P,)
         # Relative to ||lam||, the bound of every |g_k| (||dphi/dtheta_k|| is
         # 1/2): at n = 1 a single product can cancel to ~1e-4 of it.
