@@ -4,8 +4,11 @@ Configuration: L = 10 m, E = 1000, I = 1, n = 5 qubits, reps = 5, seeded
 best-of-5-restart BFGS. Per-case artifacts (result.json, convergence.csv,
 profile.csv) land in results/<case>/. The iters, nfev and status columns
 are the chosen restart's BFGS iterations, its objective evaluations (one
-`gradient` call each) and scipy's status: 0 converged, 1 stopped at
-max_iter, 2 line search lost precision.
+`gradient` call each) and scipy's status: 0 max |grad L| / |L| fell below
+grad_tol, 1 stopped at max_iter, 2 line search lost precision. A restart
+that hit a degenerate trial state failed and is never the chosen one; if
+every restart of a case failed, the script stops with
+OptimizationFailedError.
 """
 
 import argparse

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from . import verify as verify_mod
-from .driver import (NearSingularEnergyError, OptimizerOptions,
+from .driver import (DegenerateStateError, OptimizerOptions,
                      OptimizationFailedError, build_context, optimize)
 from .fem import BoundaryCase, BeamProblem, SingularSystemError, check_int
 
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, NearSingularEnergyError) as exc:
+    except (SingularSystemError, DegenerateStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OptimizationFailedError as exc:

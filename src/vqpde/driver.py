@@ -6,22 +6,25 @@ factor c* = overlap/quad is closed-form, so only theta is optimized: BFGS
 minimises the scale-free f = -log(-L), which has L's minimiser and the
 gradient grad L / |L|. L is about 1e-8 at n = 5 and 1e-14 at n = 10 from a
 random start, and f's first step, its stopping rule and its path do not
-depend on that size or on EI. Everything recorded stays in units of L.
+depend on that size or on EI. Everything recorded stays in units of L. A
+state with overlap exactly 0 has L = 0, where f is undefined, and fails its
+restart.
 
 The loss and the final state come from one real float64 engine,
 ``simulator.ansatz_states``, read by ``evaluate_loss`` against the one sparse
 ``K_mod``. ``gradient`` returns that read together with the exact gradient of
 L, one reverse sweep from the same state that undoes one RY layer per step
 (``simulator.ansatz_vjp``), so each BFGS point prepares its trial state
-once. The paper's measurement recipe for quad, the structured Pauli terms
-plus one LSBT pair observable per removed coupling, and the ancilla overlap
-circuit are the gate-level oracles for those reads, checked against
-``K_mod`` by ``verify.py`` and the tests.
+once; the records and the end point's breakdown reuse the reads of the
+points BFGS accepted. The paper's measurement recipe for quad, the
+structured Pauli terms plus one LSBT pair observable per removed coupling,
+and the ancilla overlap circuit are the gate-level oracles for those reads,
+checked against ``K_mod`` by ``verify.py`` and the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -34,12 +37,16 @@ from .fem import (BcSpec, BeamProblem, LoadSpec, assemble, check_int,
 from .pauli_ops import StructuredOperator, build_structured
 
 
-class NearSingularEnergyError(ValueError):
+class DegenerateStateError(ValueError):
+    """The trial state leaves the objective undefined; its restart fails."""
+
+
+class NearSingularEnergyError(DegenerateStateError):
     """The quadratic form collapsed; the trial state sits in the null space."""
 
 
 class OptimizationFailedError(RuntimeError):
-    """Every restart ended at a non-finite loss."""
+    """Every restart failed on a degenerate trial state."""
 
 
 @dataclass(frozen=True)
@@ -68,18 +75,24 @@ class LossBreakdown:
 
 @dataclass
 class ConvergenceRecord:
-    iterations: int
     loss_history: list[float]
     grad_norm_history: list[float]
     theta_final: np.ndarray
     n_q: int
-    function_evals: int
     restart_index: int
-    status: int   # scipy's BFGS status of the chosen restart
-    message: str
-    # Per restart: loss, nit, nfev, status, message, grad_norm, redrawn and
+    # One record per restart: loss, nit, nfev, status, message, grad_norm and
     # error; a failed restart has its error and None in the other fields.
     restarts: list[dict]
+
+    @property
+    def chosen(self) -> dict:
+        """The record of the restart the results come from."""
+        return self.restarts[self.restart_index]
+
+    iterations = property(lambda self: self.chosen["nit"])
+    function_evals = property(lambda self: self.chosen["nfev"])
+    status = property(lambda self: self.chosen["status"])  # scipy BFGS status
+    message = property(lambda self: self.chosen["message"])
 
     @property
     def restart_final_losses(self) -> list[float | None]:
@@ -202,106 +215,97 @@ def extract_profile(ctx: ProblemContext,
 
 
 def _descend(theta0: np.ndarray, ctx: ProblemContext,
-             opts: OptimizerOptions) -> dict:
+             opts: OptimizerOptions) -> tuple[dict, tuple]:
     """One BFGS descent on f = -log(-L) from ``theta0``.
 
-    Each BFGS point is one ``gradient`` call, divided by |L|. ``grad_tol``
-    bounds max |grad f| = max |grad L| / |L|. A start with overlap exactly 0
-    has L = 0 and grad L = 0; f is +inf there and the descent is ``stalled``.
-    The history holds L and max |grad f| per iterate, ``breakdown`` is the
-    read at ``x`` and ``grad_norm`` is max |grad f| there: scipy's ``jac`` is
-    the gradient at its last accepted point, the start when nit is 0. It is
-    None where f is +inf.
+    Each BFGS point is one ``gradient`` call, divided by |L|; ``grad_tol``
+    bounds max |grad f| = max |grad L| / |L|. A trial state with overlap
+    exactly 0 has L = 0, where f is undefined: DegenerateStateError.
+    BFGS calls back at the point it evaluated last and ends at its last
+    accepted point (the start when nit is 0), so the read kept there is the
+    end point's. Returns the restart's record and its end: x, the breakdown
+    at x, and L and max |grad f| per iterate.
     """
     history, grad_history = [], []
-    last = None  # theta, breakdown and max |grad f| of the latest evaluation
+    last = accepted = None  # (breakdown, max |grad f|) of a read
 
     def fun(th):
-        nonlocal last
+        nonlocal last, accepted
         b, g = gradient(th, ctx)
         size = -b.loss  # |L|, since L <= 0
         if not size > 0.0:
-            last = (th.copy(), b, np.inf)
-            return np.inf, g
+            raise DegenerateStateError(
+                "<f|phi> is zero, so -log(-L) is undefined")
         g = g / size
-        last = (th.copy(), b, float(np.max(np.abs(g))))
+        last = (b, float(np.max(np.abs(g))))
+        if accepted is None:  # the start
+            accepted = last
         return -np.log(size), g
 
     def callback(intermediate_result):
-        # scipy's line searches accept the point they evaluated last, so
-        # BFGS calls back at ``last``.
-        history.append(last[1].loss)
-        grad_history.append(last[2])
+        nonlocal accepted
+        accepted = last
+        history.append(last[0].loss)
+        grad_history.append(last[1])
 
     res = scipy.optimize.minimize(
         fun, theta0, jac=True, method="BFGS", callback=callback,
         options={"gtol": opts.grad_tol, "maxiter": opts.max_iter})
-    # A failed line search leaves x at the last accepted point, not at the
-    # last evaluated one.
-    th, b, _ = last
-    if not np.array_equal(res.x, th):
-        b = evaluate_loss(res.x, ctx)
-    return {"fun": b.loss, "breakdown": b, "x": res.x, "nit": int(res.nit),
-            "status": int(res.status), "message": str(res.message),
-            "nfev": int(res.nfev), "history": history,
-            "grad_history": grad_history,
-            "grad_norm": (float(np.max(np.abs(res.jac)))
-                          if np.isfinite(res.fun) else None),
-            "stalled": not np.isfinite(res.fun)}
+    b, grad_norm = accepted
+    return ({"loss": b.loss, "nit": int(res.nit), "nfev": int(res.nfev),
+             "status": int(res.status), "message": str(res.message),
+             "grad_norm": grad_norm, "error": None},
+            (res.x, b, history, grad_history))
+
+
+def _problem_key(problem: BeamProblem) -> tuple:
+    # LoadSpec holds an ndarray, so == on two problems is ambiguous.
+    load = problem.load
+    return (replace(problem, load=None), None if load is None else (
+        load.kind, load.scale, load.dof_index, tuple(load.vector)))
 
 
 def optimize(problem: BeamProblem, opts: OptimizerOptions,
-             reps: int = 5, bc: BcSpec | None = None,
+             reps: int | None = None, bc: BcSpec | None = None,
              ctx: ProblemContext | None = None,
              ) -> tuple[ConvergenceRecord, SolutionProfile, LossBreakdown]:
     """Best-of-restarts BFGS minimization of the reduced loss.
 
-    BFGS descends on f = -log(-L); the records are in units of L. A start
-    with <f|phi> exactly zero, where f is +inf and BFGS cannot move, is
-    drawn again, once, from the same generator.
-    A restart that hits a near-singular state is recorded as failed and the
-    others go on; if none is left, OptimizationFailedError.
+    BFGS descends on f = -log(-L); the records are in units of L. ``reps``
+    defaults to ``ctx.reps``, or 5 without a context; a ``problem``, ``reps``
+    or ``bc`` that disagrees with ``ctx`` raises ValueError. A restart that
+    hits a degenerate trial state (overlap exactly 0, or a near-singular
+    quad) is recorded as failed and the others go on; if none is left,
+    OptimizationFailedError.
     """
     if ctx is None:
-        ctx = build_context(problem, reps, bc)
+        ctx = build_context(problem, 5 if reps is None else reps, bc)
+    elif (reps not in (None, ctx.reps) or bc not in (None, ctx.bc)
+          or (problem is not ctx.problem
+              and _problem_key(problem) != _problem_key(ctx.problem))):
+        raise ValueError("problem, reps and bc must match the context's")
 
     rng = np.random.default_rng(opts.seed)
-    best = None
-    restarts = []
-
+    best, restarts = None, []
     for r in range(opts.restarts):
-        redrawn = False
         try:
-            run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params), ctx, opts)
-            if run["stalled"]:
-                redrawn = True
-                run = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params),
-                               ctx, opts)
-        except NearSingularEnergyError as exc:
-            restarts.append({"loss": None, "nit": None, "nfev": None,
-                             "status": None, "message": None,
-                             "grad_norm": None, "redrawn": redrawn,
-                             "error": str(exc)})
-            continue
-        restarts.append({"loss": run["fun"], "nit": run["nit"],
-                         "nfev": run["nfev"], "status": run["status"],
-                         "message": run["message"],
-                         "grad_norm": run["grad_norm"], "redrawn": redrawn,
-                         "error": None})
-        if best is None or run["fun"] < best["fun"]:
-            best = dict(run, restart=r)
+            run, end = _descend(rng.uniform(-np.pi, np.pi, ctx.n_params),
+                                ctx, opts)
+        except DegenerateStateError as exc:
+            run = dict.fromkeys(("loss", "nit", "nfev", "status", "message",
+                                 "grad_norm"), None) | {"error": str(exc)}
+        else:
+            if best is None or run["loss"] < restarts[best[0]]["loss"]:
+                best = (r, end)
+        restarts.append(run)
 
-    if best is None or not np.isfinite(best["fun"]):
-        errors = sorted({e["error"] for e in restarts if e["error"]})
-        reason = f": {'; '.join(errors)}" if errors else ""
-        raise OptimizationFailedError("all restarts failed" + reason)
+    if best is None:
+        errors = sorted({e["error"] for e in restarts})
+        raise OptimizationFailedError("all restarts failed: "
+                                      + "; ".join(errors))
 
-    breakdown = best["breakdown"]
-    profile = extract_profile(ctx, breakdown)
+    r, (x, breakdown, history, grad_history) = best
     record = ConvergenceRecord(
-        iterations=best["nit"], loss_history=best["history"],
-        grad_norm_history=best["grad_history"], theta_final=best["x"],
-        n_q=ctx.circuits_per_eval, function_evals=best["nfev"],
-        restart_index=best["restart"], status=best["status"],
-        message=best["message"], restarts=restarts)
-    return record, profile, breakdown
+        loss_history=history, grad_norm_history=grad_history, theta_final=x,
+        n_q=ctx.circuits_per_eval, restart_index=r, restarts=restarts)
+    return record, extract_profile(ctx, breakdown), breakdown

@@ -395,20 +395,7 @@ def superposition_state(f: np.ndarray, phi_gates, n: int) -> Statevector:
     return state
 
 
-def overlap_term(f: "Statevector | np.ndarray", phi: Statevector,
-                 phi_gates=None) -> float:
-    """<f,phi| X (x) I^n |f,phi> = Re<f|phi> via the ancilla construction.
-
-    When ``phi_gates`` is given the phi branch is built by controlled gate
-    application; otherwise the branch amplitudes are injected directly.
-    """
-    f_vec = f.amplitudes.real if isinstance(f, Statevector) else np.asarray(f, dtype=float)
-    n = phi.num_qubits
-    if f_vec.size != phi.amplitudes.size:
-        raise IndexError("state sizes differ")
-    if phi_gates is not None:
-        state = superposition_state(f_vec, phi_gates, n)
-    else:
-        amps = np.concatenate([f_vec, phi.amplitudes.real]) / np.sqrt(2)
-        state = Statevector(amps.astype(complex), n + 1)
-    return expectation_pauli(state, "X" + "I" * n)
+def overlap_term(state: Statevector) -> float:
+    """<f,phi| X (x) I^n |f,phi> = Re<f|phi> on the ancilla state
+    (|0>|f> + |1>|phi>)/sqrt(2), such as ``superposition_state`` builds."""
+    return expectation_pauli(state, "X" + "I" * (state.num_qubits - 1))

@@ -104,8 +104,8 @@ def check_engine(n: int = 4, reps: int = 3, samples: int = 10,
             gates = simulator.ansatz_gates(n, reps, theta)
             phi = simulator.apply_circuit(Statevector.zero(n), gates)
             quad = quad_form_quantum(ctx, phi)
-            overlap = simulator.overlap_term(ctx.load.vector, phi,
-                                             phi_gates=gates)
+            overlap = simulator.overlap_term(
+                simulator.superposition_state(ctx.load.vector, gates, n))
             circuit_err = max(circuit_err, abs(engine.quad - quad) / quad,
                               abs(engine.overlap - overlap))
     return [{"name": "loss_path_equivalence", "passed": dense_err <= 1e-9,

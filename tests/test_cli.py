@@ -2,6 +2,7 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from vqpde import cli, driver
@@ -194,7 +195,7 @@ class TestMain:
         assert restarts[0]["loss"] is not None
         assert convergence["restart_index"] != 1
         assert set(restarts[0]) == {"loss", "nit", "nfev", "status", "message",
-                                    "grad_norm", "redrawn", "error"}
+                                    "grad_norm", "error"}
         assert set(restarts[1]) == set(restarts[0])
         assert restarts[1]["grad_norm"] is None
         assert restarts[0]["grad_norm"] > 0.0
@@ -220,6 +221,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "optimization failed: all restarts failed: " \
             "degenerate state\n"
+
+    def test_zero_overlap_starts_exit_one(self, tmp_path, monkeypatch,
+                                          capsys):
+        """A generator that draws only theta = 0 starts every restart at
+        |0...0>, where the cantilever's load is 0, so <f|phi> = 0 and
+        -log(-L) is undefined: every restart fails, and the run exits 1 with
+        one line instead of a traceback."""
+        class Zeros:
+            def uniform(self, low, high, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(driver.np.random, "default_rng",
+                            lambda seed: Zeros())
+        cfg = small_config(tmp_path, ansatz={"reps": 1})
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "optimization failed: all restarts failed: "
+            "<f|phi> is zero, so -log(-L) is undefined\n")
 
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

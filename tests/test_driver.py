@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from test_acceptance import _richardson_gradient
 
 from vqpde import driver, lsbt, simulator
-from vqpde.driver import (ConvergenceRecord, NearSingularEnergyError,
-                          OptimizerOptions, build_context,
-                          evaluate_loss, evaluate_loss_dense, extract_profile,
-                          gradient, optimize)
+from vqpde.driver import (ConvergenceRecord, DegenerateStateError,
+                          NearSingularEnergyError, OptimizerOptions,
+                          build_context, evaluate_loss, evaluate_loss_dense,
+                          extract_profile, gradient, optimize)
 from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind, LoadSpec,
                        SingularSystemError, normalize_load)
 from vqpde.simulator import prepare_ansatz
@@ -198,11 +198,11 @@ class TestLoss:
     def test_one_forward_state_per_bfgs_point(self, monkeypatch):
         """Every BFGS objective call is one gradient, which reads the loss
         through one evaluate_loss and so prepares one trial state. BFGS calls
-        back at its last evaluated point, whose read the history reuses. A
-        descent that ends there reuses it too; one that ends elsewhere (a
-        failed line search) reads its end point once more."""
+        back at its last evaluated point, whose read the history reuses. The
+        end point is read no more, whether the descent ends there or at an
+        earlier accepted point (a failed line search)."""
         calls = {"objective": 0, "loss": 0, "gradient": 0, "states": 0}
-        rereads = []
+        moved_back = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -225,7 +225,7 @@ class TestLoss:
 
             res = minimize(counted("objective", objective), x0, *args,
                            callback=checked, **kwargs)
-            rereads.append(not np.array_equal(res.x, seen[-1]))
+            moved_back.append(not np.array_equal(res.x, seen[-1]))
             return res
 
         monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
@@ -239,17 +239,16 @@ class TestLoss:
         # 2000 both end on a failed line search.
         for max_iter, ends in ((20, [1, 1]), (2000, [2, 2])):
             calls.update(dict.fromkeys(calls, 0))
-            rereads.clear()
+            moved_back.clear()
             record, _, _ = optimize(
                 make_problem(),
                 OptimizerOptions(seed=0, restarts=2, max_iter=max_iter),
                 reps=2)
             assert [e["status"] for e in record.restarts] == ends
-            assert rereads == [status == 2 for status in ends]
+            assert moved_back == [status == 2 for status in ends]
             assert record.iterations >= 1 and calls["objective"] >= 1
             assert calls["gradient"] == calls["objective"]
-            assert (calls["states"] == calls["loss"]
-                    == calls["objective"] + sum(rereads))
+            assert calls["states"] == calls["loss"] == calls["objective"]
 
 
 class TestEngineOracle:
@@ -272,7 +271,8 @@ class TestEngineOracle:
         vec = phi.real_vector()
         for quad in (quad_form_quantum(ctx, phi), vec @ ctx.K_mod @ vec):
             assert engine.quad == pytest.approx(quad, rel=1e-9, abs=1e-9)
-        overlap = simulator.overlap_term(ctx.load.vector, phi, phi_gates=gates)
+        overlap = simulator.overlap_term(
+            simulator.superposition_state(ctx.load.vector, gates, n))
         assert engine.overlap == pytest.approx(overlap, abs=1e-9)
         assert engine.overlap == pytest.approx(ctx.load.vector @ vec, abs=1e-9)
 
@@ -303,15 +303,15 @@ class TestEngineOracle:
                                                          ctx.n_params)
         record, _, breakdown = optimize(problem, opts, ctx=ctx)
         assert record.iterations == 4
-        assert record.restarts[0]["redrawn"] is False
+        assert record.restarts[0]["error"] is None
         assert breakdown.loss < evaluate_loss(start, ctx).loss
 
-    def test_zero_overlap_start_is_redrawn(self, monkeypatch):
+    def test_zero_overlap_start_fails_its_restart(self, monkeypatch):
         """At theta = 0 the state is |0>, and DOF 0 carries no load, so
-        <f|phi> = 0 and L = 0: f = -log(-L) is +inf there, with no warning,
-        and the start is drawn again."""
+        <f|phi> = 0 and L = 0, where f = -log(-L) is undefined. That restart
+        fails with the reason, with no warning, and the others go on."""
         ctx = build_context(make_problem(), reps=2)
-        opts = OptimizerOptions(seed=0, restarts=1, max_iter=20)
+        opts = OptimizerOptions(seed=0, restarts=3, max_iter=20)
         descend, starts = driver._descend, []
 
         def first_at_zero(theta0, *args):
@@ -321,11 +321,16 @@ class TestEngineOracle:
         monkeypatch.setattr(driver, "_descend", first_at_zero)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run = descend(np.zeros(ctx.n_params), ctx, opts)
+            with pytest.raises(DegenerateStateError):
+                descend(np.zeros(ctx.n_params), ctx, opts)
             record, _, breakdown = optimize(make_problem(), opts, ctx=ctx)
-        assert ctx.load.vector[0] == 0.0 and run["fun"] == 0.0
-        assert run["nit"] == 0 and run["stalled"] and run["grad_norm"] is None
-        assert len(starts) == 2 and record.restarts[0]["redrawn"] is True
+        assert ctx.load.vector[0] == 0.0 and len(starts) == 3
+        assert record.restarts[0] == {
+            "loss": None, "nit": None, "nfev": None, "status": None,
+            "message": None, "grad_norm": None,
+            "error": "<f|phi> is zero, so -log(-L) is undefined"}
+        assert [e["error"] for e in record.restarts[1:]] == [None, None]
+        assert record.restart_index in (1, 2)
         assert record.iterations == 20 and breakdown.loss < 0.0
 
 
@@ -426,19 +431,53 @@ class TestOptimize:
         """Each restart's grad_norm is max |grad L| / |L| at its end point:
         the last callback's value, whether the descent stops at max_iter
         (status 1) or on a failed line search (status 2), and the start's
-        evaluation when nit is 0."""
+        evaluation when nit is 0. The end point's breakdown is the read
+        there."""
         theta0 = np.random.default_rng(0).uniform(-np.pi, np.pi,
                                                   ctx3.n_params)
         b, g = gradient(theta0, ctx3)
-        run = driver._descend(theta0, ctx3, OptimizerOptions(max_iter=0))
-        assert run["nit"] == 0 and run["grad_history"] == []
+        run, (x, end, history, grad_history) = driver._descend(
+            theta0, ctx3, OptimizerOptions(max_iter=0))
+        assert run["nit"] == 0 and history == grad_history == []
         assert run["grad_norm"] == np.max(np.abs(g / b.loss))
+        assert np.array_equal(x, theta0) and end == b
         for max_iter, status in ((20, 1), (2000, 2)):
-            run = driver._descend(theta0, ctx3,
-                                  OptimizerOptions(max_iter=max_iter))
+            run, (x, end, history, grad_history) = driver._descend(
+                theta0, ctx3, OptimizerOptions(max_iter=max_iter))
             assert run["status"] == status and run["nit"] >= 1
-            assert run["grad_norm"] == run["grad_history"][-1]
+            assert run["grad_norm"] == grad_history[-1]
+            assert run["loss"] == end.loss == history[-1]
+            assert end == evaluate_loss(x, ctx3)
         record, _, _ = optimize(make_problem(), OptimizerOptions(
             seed=0, restarts=2, max_iter=20), reps=2, ctx=ctx3)
         chosen = record.restarts[record.restart_index]
         assert chosen["grad_norm"] == record.grad_norm_history[-1]
+        assert (record.iterations, record.function_evals, record.status,
+                record.message) == (chosen["nit"], chosen["nfev"],
+                                    chosen["status"], chosen["message"])
+
+    def test_arguments_must_match_context(self):
+        """reps and bc default to the context's, reps to 5 without one. A
+        problem, reps or bc that disagrees with the context raises instead of
+        being ignored."""
+        ctx = build_context(make_problem(BoundaryCase.SSB, 4), reps=2)
+        opts = OptimizerOptions(seed=0, restarts=1, max_iter=2)
+        loaded = dataclasses.replace(ctx.problem, load=ctx.load)
+        for wrong in ({"problem": make_problem(BoundaryCase.CANTILEVER, 5)},
+                      {"problem": loaded},
+                      {"reps": 7},
+                      {"bc": BcSpec((0,))}):
+            kwargs = {"problem": ctx.problem, **wrong}
+            with pytest.raises(ValueError, match="context"):
+                optimize(kwargs.pop("problem"), opts, ctx=ctx, **kwargs)
+        # Equal loads in separate arrays match; == on them would be ambiguous.
+        copy = dataclasses.replace(loaded, load=dataclasses.replace(
+            ctx.load, vector=ctx.load.vector.copy()))
+        for problem, kwargs in ((ctx.problem, {"ctx": ctx, "reps": 2,
+                                               "bc": ctx.bc}),
+                                (copy, {"ctx": build_context(loaded, 2)})):
+            record, profile, _ = optimize(problem, opts, **kwargs)
+            assert len(record.theta_final) == 12
+            assert len(profile.deflections) == 8
+        record, _, _ = optimize(make_problem(), opts)
+        assert len(record.theta_final) == 3 * 6

@@ -253,15 +253,23 @@ class TestExpectations:
         assert got == pytest.approx(expected, abs=1e-10)
 
 
+def ancilla_state(f, g):
+    """(|0>|f> + |1>|g>)/sqrt(2), written from the branches' amplitudes."""
+    amps = np.concatenate([f.amplitudes, g.amplitudes]) / np.sqrt(2)
+    return Statevector(amps, f.num_qubits + 1)
+
+
 class TestOverlap:
     def test_identical_states(self):
         f = random_state(3, seed=1, real=True)
-        assert overlap_term(f, f.copy()) == pytest.approx(1.0, abs=1e-10)
+        assert overlap_term(ancilla_state(f, f.copy())) == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_orthogonal_states(self):
         f = Statevector.zero(2)
         g = Statevector(np.array([0, 1, 0, 0], dtype=complex), 2)
-        assert overlap_term(f, g) == pytest.approx(0.0, abs=1e-12)
+        assert overlap_term(ancilla_state(f, g)) == pytest.approx(0.0,
+                                                                  abs=1e-12)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -269,7 +277,8 @@ class TestOverlap:
         f = random_state(3, seed, real=True)
         g = random_state(3, seed + 1, real=True)
         expected = float(f.amplitudes.real @ g.amplitudes.real)
-        assert overlap_term(f, g) == pytest.approx(expected, abs=1e-10)
+        assert overlap_term(ancilla_state(f, g)) == pytest.approx(expected,
+                                                                  abs=1e-10)
 
     def test_circuit_path_matches_direct_construction(self):
         rng = np.random.default_rng(17)
@@ -278,7 +287,8 @@ class TestOverlap:
         gates = ansatz_gates(n, reps, theta)
         phi = prepare_ansatz(n, reps, theta)
         f = random_state(n, seed=4, real=True)
-        via_circuit = overlap_term(f.amplitudes.real, phi, phi_gates=gates)
+        via_circuit = overlap_term(
+            superposition_state(f.amplitudes.real, gates, n))
         expected = float(f.amplitudes.real @ phi.amplitudes.real)
         assert via_circuit == pytest.approx(expected, abs=1e-10)
 
@@ -297,4 +307,4 @@ class TestOverlap:
 
     def test_size_mismatch(self):
         with pytest.raises(IndexError):
-            overlap_term(Statevector.zero(2), Statevector.zero(3))
+            superposition_state(Statevector.zero(2).amplitudes.real, [], 3)
