@@ -8,12 +8,17 @@ are the chosen restart's BFGS iterations, its objective evaluations (one
 grad_tol, 1 stopped at max_iter, 2 line search lost precision. A restart
 that hit a degenerate trial state failed and is never the chosen one; if
 every restart of a case failed, the script stops with
-OptimizationFailedError.
+OptimizationFailedError. The theta sha column is the first 12 hex digits
+of the sha256 of the chosen restart's final parameters (float64 bytes), so
+two builds whose solves agree bit for bit print the same value.
 """
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from vqpde.cli import run_case
 
@@ -44,16 +49,19 @@ def main(argv=None) -> int:
         result = run_case(config, output_dir=str(out))
         m = result["metrics"]
         conv = result["convergence"]
+        theta = np.array(conv["theta_final"], dtype=float)
+        sha = hashlib.sha256(theta.tobytes()).hexdigest()[:12]
         rows.append((case, conv["iterations"], conv["function_evals"],
                      conv["status"], m["accuracy_pct"],
-                     m["relative_error"], m["fidelity"],
+                     m["relative_error"], m["fidelity"], sha,
                      result["wall_time_seconds"]))
 
     print(f"\n{'case':<12}{'iters':>7}{'nfev':>7}{'status':>8}"
-          f"{'accuracy %':>12}{'rel err':>12}{'fidelity':>12}{'wall s':>9}")
-    for case, iters, nfev, status, acc, rel, fid, wall in rows:
+          f"{'accuracy %':>12}{'rel err':>12}{'fidelity':>12}"
+          f"{'theta sha':>14}{'wall s':>9}")
+    for case, iters, nfev, status, acc, rel, fid, sha, wall in rows:
         print(f"{case:<12}{iters:>7}{nfev:>7}{status:>8}{acc:>12.4f}"
-              f"{rel:>12.6f}{fid:>12.8f}{wall:>9.1f}")
+              f"{rel:>12.6f}{fid:>12.8f}{sha:>14}{wall:>9.1f}")
     return 0
 
 

@@ -34,6 +34,16 @@ class ConfigError(ValueError):
     pass
 
 
+MAX_QUBITS = 20  # the engine's flip table alone is about 335 MB at n = 20
+
+
+def _check_qubits(n: int) -> None:
+    """ConfigError unless 3 <= n <= MAX_QUBITS, before anything is allocated."""
+    if not 3 <= n <= MAX_QUBITS:
+        raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
+                          f"got {n}")
+
+
 _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
                  "boundary_case"}
 _ANSATZ_KEYS = {"reps"}
@@ -64,8 +74,8 @@ def load_config(path: str) -> dict:
     if not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
     n = prob.get("num_qubits")
-    if isinstance(n, int) and not isinstance(n, bool) and n < 3:
-        raise ConfigError("CLI-level problems require at least 3 qubits")
+    if isinstance(n, int) and not isinstance(n, bool):
+        _check_qubits(n)
     return raw
 
 
@@ -242,8 +252,10 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError("--qubits must be comma-separated integers, "
                                   f"got {args.qubits!r}") from None
-            if any(n < 3 for n in qubits) or len(set(qubits)) < len(qubits):
-                raise ConfigError("sweep qubit counts must be distinct and >= 3")
+            if len(set(qubits)) < len(qubits):
+                raise ConfigError("sweep qubit counts must be distinct")
+            for n in qubits:
+                _check_qubits(n)
             results = run_sweep(config, qubits)
             for n, res in zip(qubits, results):
                 print(f"n={n}: terms={res['structured_terms']} "

@@ -24,16 +24,16 @@ checked against ``K_mod`` by ``verify.py`` and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
 
 from . import simulator
-from .fem import (BcSpec, BeamProblem, LoadSpec, assemble, check_int,
-                  check_real, check_supports, classical_solve, default_load,
-                  set_to_zero)
+from .fem import (BeamProblem, LoadSpec, assemble, check_int, check_real,
+                  check_supports, classical_solve, default_load,
+                  normalize_load, set_to_zero)
 from .pauli_ops import StructuredOperator, build_structured
 
 
@@ -112,7 +112,6 @@ class ProblemContext:
     """Everything assembled once per problem: operators, load, reference."""
 
     problem: BeamProblem
-    bc: BcSpec
     reps: int
     load: LoadSpec
     K_mod: scipy.sparse.csr_array
@@ -134,18 +133,19 @@ class ProblemContext:
         return len(self.structured.terms) + len(self.structured.bc_pairs) + 1
 
 
-def build_context(problem: BeamProblem, reps: int,
-                  bc: BcSpec | None = None) -> ProblemContext:
+def build_context(problem: BeamProblem, reps: int) -> ProblemContext:
+    """The context of ``problem``. Its load is normalized against
+    ``problem.bc()``, so a force on a constrained DOF, a reaction, is zeroed;
+    a load with nothing left raises ValueError."""
     check_int("reps", reps, 0)
-    bc = problem.bc() if bc is None else bc
-    check_supports(problem, bc)
-    load = problem.load if problem.load is not None else default_load(problem, bc)
-    if np.linalg.norm(load.vector) == 0.0:
-        raise ValueError("load vector must be nonzero")
+    check_supports(problem)
+    bc = problem.bc()
+    load = (default_load(problem) if problem.load is None
+            else normalize_load(problem.load, bc))
     K_mod, K_bc = set_to_zero(assemble(problem), bc)
     structured = build_structured(problem, K_bc)
     u_ref, target_energy = classical_solve(K_mod, load)
-    return ProblemContext(problem, bc, reps, load, K_mod,
+    return ProblemContext(problem, reps, load, K_mod,
                           structured, u_ref, target_energy)
 
 
@@ -258,32 +258,22 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
             (res.x, b, history, grad_history))
 
 
-def _problem_key(problem: BeamProblem) -> tuple:
-    # LoadSpec holds an ndarray, so == on two problems is ambiguous.
-    load = problem.load
-    return (replace(problem, load=None), None if load is None else (
-        load.kind, load.scale, load.dof_index, tuple(load.vector)))
-
-
 def optimize(problem: BeamProblem, opts: OptimizerOptions,
-             reps: int | None = None, bc: BcSpec | None = None,
-             ctx: ProblemContext | None = None,
+             reps: int | None = None, ctx: ProblemContext | None = None,
              ) -> tuple[ConvergenceRecord, SolutionProfile, LossBreakdown]:
     """Best-of-restarts BFGS minimization of the reduced loss.
 
     BFGS descends on f = -log(-L); the records are in units of L. ``reps``
-    defaults to ``ctx.reps``, or 5 without a context; a ``problem``, ``reps``
-    or ``bc`` that disagrees with ``ctx`` raises ValueError. A restart that
+    defaults to ``ctx.reps``, or 5 without a context; a ``problem`` or
+    ``reps`` that disagrees with ``ctx`` raises ValueError. A restart that
     hits a degenerate trial state (overlap exactly 0, or a near-singular
     quad) is recorded as failed and the others go on; if none is left,
     OptimizationFailedError.
     """
     if ctx is None:
-        ctx = build_context(problem, 5 if reps is None else reps, bc)
-    elif (reps not in (None, ctx.reps) or bc not in (None, ctx.bc)
-          or (problem is not ctx.problem
-              and _problem_key(problem) != _problem_key(ctx.problem))):
-        raise ValueError("problem, reps and bc must match the context's")
+        ctx = build_context(problem, 5 if reps is None else reps)
+    elif reps not in (None, ctx.reps) or problem != ctx.problem:
+        raise ValueError("problem and reps must match the context's")
 
     rng = np.random.default_rng(opts.seed)
     best, restarts = None, []

@@ -1,9 +1,10 @@
 """Classical FEM layer for the Euler-Bernoulli beam.
 
-Element stiffness, sparse global assembly (open chain and periodic), load
-vectors, set-to-zero displacement boundary conditions, and a sparse direct
-solve that provides reference solutions and target energies. The stiffness
-matrix is banded (half-bandwidth 3, plus the periodic corner), so it stays a
+``BeamProblem`` describes a whole beam, its supports and raw nodal load
+included. Element stiffness, sparse global assembly (open chain and
+periodic), load normalization, set-to-zero supports, and a sparse direct
+solve for reference solutions and target energies. The stiffness matrix is
+banded (half-bandwidth 3, plus the periodic corner), so it stays a
 scipy.sparse CSR matrix from assembly to the reference solve.
 
 DOF layout: node i carries deflection at index 2i and rotation at 2i+1.
@@ -58,36 +59,26 @@ class BcSpec:
 
     def __post_init__(self):
         dofs = tuple(self.constrained_dofs)
+        for dof in dofs:
+            check_int("constrained DOF", dof, 0)
         if list(dofs) != sorted(set(dofs)):
             raise ValueError("constrained DOFs must be sorted and unique")
-        if dofs and dofs[0] < 0:
-            raise ValueError("negative DOF index")
         object.__setattr__(self, "constrained_dofs", dofs)
-
-    @staticmethod
-    def for_case(case: BoundaryCase, num_dofs: int) -> "BcSpec":
-        n = num_dofs
-        if case is BoundaryCase.CANTILEVER:
-            return BcSpec((0, 1))
-        if case is BoundaryCase.SSB:
-            return BcSpec((0, n - 2))
-        if case is BoundaryCase.FFB:
-            return BcSpec((0, 1, n - 2, n - 1))
-        # Periodic beam: anchor the node-0 deflection to remove the
-        # uniform-translation null mode.
-        return BcSpec((0,))
 
 
 @dataclass(frozen=True)
 class BeamProblem:
-    """Physical and discretization description of a beam instance."""
+    """The whole description of a beam: geometry, stiffness, size, raw
+    nodal ``load`` (one force per DOF) and ``supports``; None means the
+    case's default load or supports. Every field is hashable."""
 
     length: float
     youngs_modulus: float
     second_moment: float
     num_qubits: int
     boundary_case: BoundaryCase
-    load: "LoadSpec | None" = None
+    load: tuple[float, ...] | None = None
+    supports: BcSpec | None = None
 
     def __post_init__(self):
         for name in ("length", "youngs_modulus", "second_moment"):
@@ -96,6 +87,19 @@ class BeamProblem:
         if not isinstance(self.boundary_case, BoundaryCase):
             raise TypeError(f"boundary_case must be a BoundaryCase, "
                             f"got {self.boundary_case!r}")
+        k = _element_entries(self.youngs_modulus, self.second_moment,
+                             self.element_length)
+        if not all(0.0 < v < math.inf for v in k):
+            raise ValueError("element stiffness 12EI/l^3 .. 2EI/l is not "
+                             f"finite and positive: {k[0]:.3g} .. {k[3]:.3g}")
+        if not isinstance(self.supports, (BcSpec, type(None))):
+            raise TypeError(f"supports must be a BcSpec, got {self.supports!r}")
+        if self.load is not None:
+            f = np.asarray(self.load, dtype=float)
+            if f.shape != (self.num_dofs,) or not np.all(np.isfinite(f)):
+                raise ValueError(f"load must hold {self.num_dofs} finite "
+                                 f"entries, one per DOF, got shape {f.shape}")
+            object.__setattr__(self, "load", tuple(f.tolist()))
 
     @property
     def num_dofs(self) -> int:
@@ -116,12 +120,15 @@ class BeamProblem:
         return self.length / self.num_elements
 
     def bc(self) -> BcSpec:
-        return BcSpec.for_case(self.boundary_case, self.num_dofs)
-
-
-class LoadKind(str, Enum):
-    POINT_FORCE = "point_force"
-    CUSTOM = "custom"
+        """``supports``, or the case's default. The periodic beam anchors the
+        node-0 deflection to remove the uniform-translation null mode."""
+        if self.supports is not None:
+            return self.supports
+        n = self.num_dofs
+        return BcSpec({BoundaryCase.CANTILEVER: (0, 1),
+                       BoundaryCase.SSB: (0, n - 2),
+                       BoundaryCase.FFB: (0, 1, n - 2, n - 1),
+                       BoundaryCase.PBC: (0,)}[self.boundary_case])
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,8 @@ class LoadSpec:
     norm ``scale`` restores physical units in reported profiles.
     """
 
-    kind: LoadKind
     vector: np.ndarray
     scale: float
-    dof_index: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float)
@@ -145,48 +150,49 @@ class LoadSpec:
             raise ValueError("load vector must have unit 2-norm")
 
 
-def normalize_load(raw: np.ndarray, bc: BcSpec,
-                   kind: LoadKind = LoadKind.CUSTOM,
-                   dof_index: int | None = None) -> LoadSpec:
+def normalize_load(raw, bc: BcSpec) -> LoadSpec:
     f = np.asarray(raw, dtype=float).copy()
     f[list(bc.constrained_dofs)] = 0.0
     norm = float(np.linalg.norm(f))
     if norm == 0.0:
         raise ValueError("load vector vanishes after applying constraints")
-    return LoadSpec(kind=kind, vector=f / norm, scale=norm, dof_index=dof_index)
+    return LoadSpec(vector=f / norm, scale=norm)
 
 
-def default_load(problem: BeamProblem, bc: BcSpec) -> LoadSpec:
-    """Per-case load convention.
+def default_load(problem: BeamProblem) -> LoadSpec:
+    """Per-case load convention, normalized against ``problem.bc()``.
 
     Cantilever: unit force at the free-end deflection. SSB/FFB: unit force at
     the mid-span deflection. PBC: self-equilibrated +/-1 pair at node 0 and
     node nodes/2 deflections (the anchored entry is zeroed by the constraint).
     """
-    n = problem.num_dofs
-    raw = np.zeros(n)
+    raw = np.zeros(problem.num_dofs)
+    mid = 2 * (problem.num_nodes // 2)
     case = problem.boundary_case
     if case is BoundaryCase.CANTILEVER:
-        dof = n - 2
-        raw[dof] = 1.0
-        return normalize_load(raw, bc, LoadKind.POINT_FORCE, dof)
-    if case in (BoundaryCase.SSB, BoundaryCase.FFB):
-        dof = 2 * (problem.num_nodes // 2)
-        raw[dof] = 1.0
-        return normalize_load(raw, bc, LoadKind.POINT_FORCE, dof)
-    raw[0] = 1.0
-    raw[2 * (problem.num_nodes // 2)] = -1.0
-    return normalize_load(raw, bc, LoadKind.CUSTOM)
+        raw[problem.num_dofs - 2] = 1.0
+    elif case in (BoundaryCase.SSB, BoundaryCase.FFB):
+        raw[mid] = 1.0
+    else:
+        raw[0] = 1.0
+        raw[mid] = -1.0
+    return normalize_load(raw, problem.bc())
+
+
+def _element_entries(E: float, I: float, l_e: float) -> tuple:
+    """12EI/l^3, 6EI/l^2, 4EI/l, 2EI/l on float64 scalars: out of range they
+    are inf or 0, not an error (l ** 3, not l * l * l, keeps the last bit)."""
+    E, I, l_e = np.float64(E), np.float64(I), np.float64(l_e)
+    with np.errstate(all="ignore"):
+        return (12.0 * E * I / l_e ** 3, 6.0 * E * I / l_e ** 2,
+                4.0 * E * I / l_e, 2.0 * E * I / l_e)
 
 
 def element_stiffness(E: float, I: float, l_e: float) -> np.ndarray:
     """4x4 Hermite-cubic bending stiffness of one beam element."""
     if E <= 0 or I <= 0 or l_e <= 0:
         raise ValueError("E, I and element length must be positive")
-    a = 12.0 * E * I / l_e ** 3
-    b = 6.0 * E * I / l_e ** 2
-    c = 4.0 * E * I / l_e
-    d = 2.0 * E * I / l_e
+    a, b, c, d = _element_entries(E, I, l_e)
     return np.array([
         [a, b, -a, b],
         [b, c, -b, d],
@@ -216,8 +222,8 @@ def assemble(problem: BeamProblem) -> scipy.sparse.csr_array:
     return K
 
 
-def check_supports(problem: BeamProblem, bc: BcSpec) -> None:
-    """Reject constraints that leave the set-to-zero system singular.
+def check_supports(problem: BeamProblem) -> None:
+    """Reject supports that leave the set-to-zero system singular.
 
     Raises ValueError for a constrained DOF outside the system. The
     unconstrained beam moves freely by translation (w = 1) and, on an open
@@ -225,6 +231,7 @@ def check_supports(problem: BeamProblem, bc: BcSpec) -> None:
     exactly when some combination of these modes vanishes on every
     constrained DOF, which raises SingularSystemError.
     """
+    bc = problem.bc()
     dofs = list(bc.constrained_dofs)
     if dofs and dofs[-1] >= problem.num_dofs:
         raise ValueError(f"constrained DOF {dofs[-1]} is outside the "

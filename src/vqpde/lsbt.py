@@ -48,27 +48,17 @@ def _apply_to_pair(gates, a: int, b: int) -> tuple[int, int]:
 
 
 def _merge_and_fill(a: int, b: int, n: int, pre: list) -> list:
-    """Complete a sequence from a pair that already differs in the LSB."""
+    """Complete a sequence from a pair that already differs in the LSB: on
+    each upper qubit j, an X where the even entry's bit is 0, then a CNOT from
+    the LSB where the two bits differ, sets bit j of both entries to 1."""
     gates = list(pre)
     odd, even = (a, b) if a & 1 else (b, a)
     for j in range(1, n):
-        e = (even >> j) & 1
-        o = (odd >> j) & 1
-        if e and o:
-            continue
-        if e and not o:
-            gates.append(("cnot", 0, j))
-            odd ^= 1 << j
-        elif not e and not o:
+        e, o = (even >> j) & 1, (odd >> j) & 1
+        if not e:
             gates.append(("x", j))
-            odd ^= 1 << j
-            even ^= 1 << j
-        else:
-            gates.append(("x", j))
-            even ^= 1 << j
-            odd ^= 1 << j
+        if e != o:
             gates.append(("cnot", 0, j))
-            odd ^= 1 << j
     return gates
 
 

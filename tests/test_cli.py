@@ -275,6 +275,36 @@ class TestMain:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"{section} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", [
+        {"length": 1e308, "youngs_modulus": 1e-308},  # 12EI/l^3 underflows
+        {"youngs_modulus": 1e300, "second_moment": 1e300},  # EI overflows
+        {"length": 1e-300},  # 12EI/l^3 overflows
+        {"num_qubits": 21},
+        {"num_qubits": 60},
+    ])
+    def test_extreme_sizes_exit_two(self, tmp_path, capsys, monkeypatch,
+                                    problem):
+        """Each is rejected while the config is read, before any array is
+        allocated, with one stderr line."""
+        def unreachable(*args):
+            raise AssertionError("the config reached build_context")
+
+        monkeypatch.setattr(cli, "build_context", unreachable)
+        cfg = small_config(tmp_path, problem=problem)
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("qubits", ["3,21", "3,60"])
+    def test_sweep_rejects_too_many_qubits(self, tmp_path, capsys,
+                                           monkeypatch, qubits):
+        monkeypatch.setattr(cli, "_sweep_worker", None)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", qubits]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "between 3 and 20" in err
+
     def test_missing_config_exit_two(self):
         assert main(["run", "--config", "/does/not/exist.json"]) == 2
 

@@ -13,8 +13,8 @@ from vqpde.driver import (ConvergenceRecord, DegenerateStateError,
                           NearSingularEnergyError, OptimizerOptions,
                           build_context, evaluate_loss, evaluate_loss_dense,
                           extract_profile, gradient, optimize)
-from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind, LoadSpec,
-                       SingularSystemError, normalize_load)
+from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadSpec,
+                       SingularSystemError)
 from vqpde.simulator import prepare_ansatz
 from vqpde.verify import quad_form_quantum
 
@@ -54,21 +54,34 @@ class TestBuildContext:
         for n in range(3, 11):
             for length in (1.0, 3.0, 10.0):
                 problem = make_problem(case, n, length=length,
-                                       youngs_modulus=1000.0)
+                                       youngs_modulus=1000.0,
+                                       supports=BcSpec(dofs))
                 with pytest.raises(SingularSystemError):
-                    build_context(problem, reps=0, bc=BcSpec(dofs))
+                    build_context(problem, reps=0)
 
     def test_supported_constraints_accepted(self):
         for n in range(4, 14):
             for case in BoundaryCase:
                 build_context(make_problem(case, n, length=10.0), reps=0)
-            build_context(make_problem(BoundaryCase.SSB, n, length=10.0),
-                          reps=0, bc=BcSpec((3, 4, 5, 9)))
+            build_context(make_problem(BoundaryCase.SSB, n, length=10.0,
+                                       supports=BcSpec((3, 4, 5, 9))), reps=0)
 
     def test_constrained_dof_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            build_context(make_problem(BoundaryCase.SSB, 3), reps=0,
-                          bc=BcSpec((3, 4, 5, 9)))
+            build_context(make_problem(BoundaryCase.SSB, 3,
+                                       supports=BcSpec((3, 4, 5, 9))), reps=0)
+
+    def test_raw_load_is_normalized_against_the_supports(self):
+        """The context normalizes the problem's raw load against its own
+        supports: a force on the clamped rotation is a reaction, so it
+        neither loads the system nor moves the reference solution."""
+        raw = np.zeros(16)
+        raw[1], raw[14] = 5.0, 1.0
+        ctx = build_context(make_problem(n=4, load=raw), reps=0)
+        assert ctx.load.vector[1] == 0.0 and ctx.u_ref[1] == 0.0
+        assert ctx.load.vector[14] == 1.0 and ctx.load.scale == 1.0
+        with pytest.raises(ValueError, match="16"):
+            make_problem(n=4, load=np.ones(8))
 
     def test_load_is_normalized(self, ctx3):
         assert np.linalg.norm(ctx3.load.vector) == pytest.approx(1.0)
@@ -79,7 +92,7 @@ class TestBuildContext:
 
     def test_zero_load_rejected(self):
         with pytest.raises(ValueError):
-            LoadSpec(LoadKind.CUSTOM, np.zeros(8), 1.0)
+            LoadSpec(np.zeros(8), 1.0)
 
 
 class TestLoss:
@@ -188,7 +201,7 @@ class TestLoss:
         assume(n > 2 or case in (BoundaryCase.CANTILEVER, BoundaryCase.PBC))
         rng = np.random.default_rng(seed)
         problem = make_problem(case, n)
-        load = normalize_load(rng.normal(size=problem.num_dofs), problem.bc())
+        load = rng.normal(size=problem.num_dofs)
         ctx = build_context(dataclasses.replace(problem, load=load), reps)
         theta = rng.uniform(-np.pi, np.pi, ctx.n_params)
         oracle = _richardson_gradient(theta, ctx)
@@ -457,24 +470,26 @@ class TestOptimize:
                                     chosen["status"], chosen["message"])
 
     def test_arguments_must_match_context(self):
-        """reps and bc default to the context's, reps to 5 without one. A
-        problem, reps or bc that disagrees with the context raises instead of
-        being ignored."""
+        """reps defaults to the context's, and to 5 without one. A problem
+        or reps that disagrees with the context raises instead of being
+        ignored; the problem carries its supports and load, so they are
+        compared too."""
         ctx = build_context(make_problem(BoundaryCase.SSB, 4), reps=2)
         opts = OptimizerOptions(seed=0, restarts=1, max_iter=2)
-        loaded = dataclasses.replace(ctx.problem, load=ctx.load)
+        raw = np.zeros(16)
+        raw[8] = 1.0
         for wrong in ({"problem": make_problem(BoundaryCase.CANTILEVER, 5)},
-                      {"problem": loaded},
-                      {"reps": 7},
-                      {"bc": BcSpec((0,))}):
+                      {"problem": dataclasses.replace(ctx.problem, load=raw)},
+                      {"problem": dataclasses.replace(
+                          ctx.problem, supports=BcSpec((0, 1, 14)))},
+                      {"reps": 7}):
             kwargs = {"problem": ctx.problem, **wrong}
             with pytest.raises(ValueError, match="context"):
                 optimize(kwargs.pop("problem"), opts, ctx=ctx, **kwargs)
-        # Equal loads in separate arrays match; == on them would be ambiguous.
-        copy = dataclasses.replace(loaded, load=dataclasses.replace(
-            ctx.load, vector=ctx.load.vector.copy()))
-        for problem, kwargs in ((ctx.problem, {"ctx": ctx, "reps": 2,
-                                               "bc": ctx.bc}),
+        # An equal load held in a separate array matches.
+        loaded = dataclasses.replace(ctx.problem, load=raw)
+        copy = dataclasses.replace(ctx.problem, load=raw.copy())
+        for problem, kwargs in ((ctx.problem, {"ctx": ctx, "reps": 2}),
                                 (copy, {"ctx": build_context(loaded, 2)})):
             record, profile, _ = optimize(problem, opts, **kwargs)
             assert len(record.theta_final) == 12

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, LoadKind,
-                       SingularSystemError, assemble, classical_solve,
-                       default_load, element_stiffness, normalize_load,
-                       set_to_zero)
+from vqpde.fem import (BcSpec, BeamProblem, BoundaryCase, SingularSystemError,
+                       assemble, classical_solve, default_load,
+                       element_stiffness, normalize_load, set_to_zero)
 
 KE_UNIT = np.array([
     [12, 6, -12, 6],
@@ -210,10 +209,24 @@ class TestBoundaryCases:
         assert np.min(np.linalg.eigvalsh(K_mod.toarray())) > 0
 
     def test_bc_dof_sets(self):
-        assert BcSpec.for_case(BoundaryCase.CANTILEVER, 32).constrained_dofs == (0, 1)
-        assert BcSpec.for_case(BoundaryCase.SSB, 32).constrained_dofs == (0, 30)
-        assert BcSpec.for_case(BoundaryCase.FFB, 32).constrained_dofs == (0, 1, 30, 31)
-        assert BcSpec.for_case(BoundaryCase.PBC, 32).constrained_dofs == (0,)
+        def dofs(case, **kw):
+            return BeamProblem(1.0, 1.0, 1.0, 5, case, **kw).bc().constrained_dofs
+
+        assert dofs(BoundaryCase.CANTILEVER) == (0, 1)
+        assert dofs(BoundaryCase.SSB) == (0, 30)
+        assert dofs(BoundaryCase.FFB) == (0, 1, 30, 31)
+        assert dofs(BoundaryCase.PBC) == (0,)
+        assert dofs(BoundaryCase.SSB, supports=BcSpec((3, 9))) == (3, 9)
+
+    @pytest.mark.parametrize("dofs,error", [
+        ((1, 0), ValueError), ((0, 0), ValueError), ((-1, 2), ValueError),
+        ((0.5, 6), TypeError), ((True,), TypeError),
+    ])
+    def test_bad_supports_rejected(self, dofs, error):
+        with pytest.raises(error):
+            BcSpec(dofs)
+        with pytest.raises(TypeError, match="BcSpec"):
+            BeamProblem(1.0, 1.0, 1.0, 3, BoundaryCase.SSB, supports=dofs)
 
 
 class TestLoads:
@@ -230,17 +243,15 @@ class TestLoads:
 
     def test_default_loads(self):
         p = problem(BoundaryCase.CANTILEVER, 4)
-        load = default_load(p, p.bc())
-        assert load.kind is LoadKind.POINT_FORCE
-        assert load.dof_index == p.num_dofs - 2
+        load = default_load(p)
         assert load.vector[p.num_dofs - 2] == 1.0
 
         p = problem(BoundaryCase.SSB, 4)
-        load = default_load(p, p.bc())
-        assert load.dof_index == 2 * (p.num_nodes // 2)
+        load = default_load(p)
+        assert load.vector[2 * (p.num_nodes // 2)] == 1.0
 
         p = problem(BoundaryCase.PBC, 4)
-        load = default_load(p, p.bc())
+        load = default_load(p)
         # +1 entry sits on the anchored DOF and is zeroed by the constraint
         assert load.vector[0] == 0.0
         assert load.vector[p.num_nodes] == pytest.approx(-1.0)
@@ -299,9 +310,8 @@ class TestClassicalSolve:
         # simply supported and fixed-fixed beams, and on the anchored periodic
         # beam a clamped-clamped span L loaded at its middle.
         p = problem(case, n, L=10.0, E=1000.0)
-        bc = p.bc()
-        K_mod, _ = set_to_zero(assemble(p), bc)
-        _, energy = classical_solve(K_mod, default_load(p, bc))
+        K_mod, _ = set_to_zero(assemble(p), p.bc())
+        _, energy = classical_solve(K_mod, default_load(p))
         L, EI = p.length, p.youngs_modulus * p.second_moment
         a = (p.num_nodes // 2) * p.element_length
         b = L - a
@@ -316,10 +326,9 @@ class TestClassicalSolve:
     @pytest.mark.parametrize("case", list(BoundaryCase))
     def test_residual(self, case):
         p = problem(case, 4, L=3.0)
-        bc = p.bc()
         K = assemble(p)
-        K_mod, _ = set_to_zero(K, bc)
-        load = default_load(p, bc)
+        K_mod, _ = set_to_zero(K, p.bc())
+        load = default_load(p)
         u, energy = classical_solve(K_mod, load)
         assert np.linalg.norm(K_mod @ u - load.vector) <= 1e-10
         assert energy == pytest.approx(-0.5 * load.vector @ u)
