@@ -9,7 +9,10 @@ For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
                  (state preparation), timed the same way;
   vjp            its reverse half, one ``simulator.ansatz_vjp`` call (the
                  gradient's reverse sweep), timed the same way;
-  build_context  one ``build_context`` call, the min of 5 calls.
+  build_context  one ``build_context`` call, the min of 5 calls;
+  bfgs it        the BFGS overhead per iteration: the wall time of one
+                 30-iteration descent (one restart, grad_tol 0, the min of
+                 5 runs), less nfev times the point time, divided by nit.
 The header gives the core count and the numpy and scipy versions. BLAS runs
 on one thread, as in the benchmark. Run from the repository root:
 
@@ -26,11 +29,12 @@ import time
 import numpy as np
 import scipy
 
-from vqpde.driver import build_context, gradient
+from vqpde.driver import OptimizerOptions, build_context, gradient, optimize
 from vqpde.fem import BeamProblem, BoundaryCase
 from vqpde.simulator import ansatz_states, ansatz_vjp
 
 REPS = 5
+ITERATIONS = 30
 BLOCKS = 5
 CALLS_PER_BLOCK = {5: 200, 8: 100, 10: 50, 12: 20}
 
@@ -49,7 +53,7 @@ def main() -> int:
     print(f"cpu_count={os.cpu_count()} numpy={np.__version__} "
           f"scipy={scipy.__version__} case=cantilever reps={REPS}")
     print(f"{'n':>3}{'P':>5}{'point ms':>11}{'states ms':>11}{'vjp ms':>9}"
-          f"{'build_context ms':>18}")
+          f"{'build_context ms':>18}{'bfgs it ms':>12}")
     for n, calls in CALLS_PER_BLOCK.items():
         problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
                               second_moment=1.0, num_qubits=n,
@@ -65,8 +69,16 @@ def main() -> int:
                            calls, BLOCKS)
         build = best_mean_ms(lambda: build_context(problem, reps=REPS), 1,
                              BLOCKS)
+        # One restart from seed 0 starts at theta.
+        opts = OptimizerOptions(seed=0, restarts=1, max_iter=ITERATIONS,
+                                grad_tol=0.0)
+        record = optimize(problem, opts, ctx=ctx)[0]
+        descent = best_mean_ms(lambda: optimize(problem, opts, ctx=ctx), 1,
+                               BLOCKS)
+        bfgs_it = ((descent - record.function_evals * point)
+                   / record.iterations)
         print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{states:>11.3f}"
-              f"{vjp:>9.3f}{build:>18.3f}")
+              f"{vjp:>9.3f}{build:>18.3f}{bfgs_it:>12.3f}")
     return 0
 
 

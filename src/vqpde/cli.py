@@ -35,13 +35,27 @@ class ConfigError(ValueError):
 
 
 MAX_QUBITS = 20  # the engine's flip table alone is about 335 MB at n = 20
+# BFGS keeps a dense P x P float64 inverse Hessian and two update
+# temporaries, with P = num_qubits * (reps + 1): 128 MiB each at P = 4096.
+MAX_PARAMS = 4096
 
 
-def _check_qubits(n: int) -> None:
-    """ConfigError unless 3 <= n <= MAX_QUBITS, before anything is allocated."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_size(n, reps) -> None:
+    """ConfigError unless 3 <= n <= MAX_QUBITS and the ansatz has at most
+    MAX_PARAMS angles, before anything is allocated. A non-integer value is
+    left to the type checks that follow."""
+    if not _is_int(n):
+        return
     if not 3 <= n <= MAX_QUBITS:
         raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
                           f"got {n}")
+    if _is_int(reps) and n * (reps + 1) > MAX_PARAMS:
+        raise ConfigError(f"num_qubits * (reps + 1) must be at most "
+                          f"{MAX_PARAMS}, got {n} * ({reps} + 1)")
 
 
 _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
@@ -49,6 +63,13 @@ _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
 _ANSATZ_KEYS = {"reps"}
 _OPTIMIZER_KEYS = {"seed", "restarts", "max_iter", "grad_tol"}
 _TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir"}
+_PROBLEM_DEFAULTS = {"length": 10.0, "youngs_modulus": 1000.0,
+                     "second_moment": 1.0, "num_qubits": 5}
+
+
+def _reps(config: dict):
+    """The config's ansatz reps, 5 when unset; its type is checked later."""
+    return config.get("ansatz", {}).get("reps", 5)
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -73,9 +94,8 @@ def load_config(path: str) -> dict:
     out = raw.get("output_dir", ".")
     if not isinstance(out, str):
         raise ConfigError(f"output_dir must be a string, got {out!r}")
-    n = prob.get("num_qubits")
-    if isinstance(n, int) and not isinstance(n, bool):
-        _check_qubits(n)
+    _check_size(prob.get("num_qubits", _PROBLEM_DEFAULTS["num_qubits"]),
+                _reps(raw))
     return raw
 
 
@@ -92,9 +112,7 @@ def problem_from_config(config: dict) -> BeamProblem:
     case = prob.pop("boundary_case", "cantilever")
     if not isinstance(case, str):
         raise ConfigError(f"boundary_case must be a string, got {case!r}")
-    defaults = {"length": 10.0, "youngs_modulus": 1000.0,
-                "second_moment": 1.0, "num_qubits": 5}
-    defaults.update(prob)
+    defaults = _PROBLEM_DEFAULTS | prob
     return _validated(lambda: BeamProblem(
         boundary_case=BoundaryCase(case.lower()), **defaults))
 
@@ -107,7 +125,7 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
     """Execute one configured case and write result files."""
     problem = problem_from_config(config)
     opts = options_from_config(config)
-    reps = config.get("ansatz", {}).get("reps", 5)
+    reps = _reps(config)
     _validated(check_int, "reps", reps, 0)
     out = Path(output_dir or config.get("output_dir", "."))
 
@@ -255,7 +273,7 @@ def main(argv=None) -> int:
             if len(set(qubits)) < len(qubits):
                 raise ConfigError("sweep qubit counts must be distinct")
             for n in qubits:
-                _check_qubits(n)
+                _check_size(n, _reps(config))
             results = run_sweep(config, qubits)
             for n, res in zip(qubits, results):
                 print(f"n={n}: terms={res['structured_terms']} "

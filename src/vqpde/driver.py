@@ -20,15 +20,22 @@ points BFGS accepted. The paper's measurement recipe for quad, the
 structured Pauli terms plus one LSBT pair observable per removed coupling,
 and the ancilla overlap circuit are the gate-level oracles for those reads,
 checked against ``K_mod`` by ``verify.py`` and the tests.
+
+The descent loop ``_bfgs`` is scipy's BFGS step for step, with scipy's
+Moré-Thuente line search and wolfe2 fallback, less scipy's per-iteration
+wrappers: its iterates are scipy's bit for bit, and status, message and
+``function_evals`` keep scipy's meaning.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+from scipy.optimize._linesearch import LineSearchWarning, scalar_search_wolfe1
 
 from . import simulator
 from .fem import (BeamProblem, LoadSpec, assemble, check_int, check_real,
@@ -214,6 +221,105 @@ def extract_profile(ctx: ProblemContext,
                            scale=scale, state=v)
 
 
+# scipy's BFGS messages, indexed by status.
+_MESSAGES = ("Optimization terminated successfully.",
+             "Maximum number of iterations has been exceeded.",
+             "Desired error not necessarily achieved due to precision loss.",
+             "NaN result encountered.")
+
+
+def _bfgs(fun, x0, args=(), callback=None, *, gtol=1e-5, maxiter=None,
+          xrtol=0.0, c1=1e-4, c2=0.9, jac=None, hess=None, hessp=None,
+          bounds=None, constraints=()):
+    """scipy's BFGS, ``_minimize_bfgs``, step for step as a custom method of
+    ``scipy.optimize.minimize``: the same iterates, status, message and nfev.
+
+    ``fun(x, *args)`` returns (f, grad f, read). The callback and the result
+    get the read and max |grad f| (grad_norm) of each accepted point. One
+    cache of the last point evaluated stands in for scipy's ScalarFunction
+    and MemoizeJac, so phi and derphi share one call per trial point. jac,
+    hess, hessp, bounds and constraints, which minimize passes, are unused.
+    """
+    last = None  # (x, f, grad f, read) of the last point evaluated
+    nfev = 0
+
+    def point(x):
+        nonlocal last, nfev
+        if last is None or not (x == last[0]).all():
+            nfev += 1
+            last = (x, *fun(x, *args))
+        return last
+
+    def phi(s):
+        return point(xk + s * pk)[1]
+
+    def derphi(s):
+        return np.dot(point(xk + s * pk)[2], pk)
+
+    xk = np.asarray(x0, dtype=float).flatten()
+    if maxiter is None:
+        maxiter = len(xk) * 200
+    _, old_fval, gfk, read = point(xk)
+    eye = np.eye(len(xk))
+    Hk = eye
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2  # a first step of ~1
+    k = status = 0
+    gnorm = np.abs(gfk).max()
+    while gnorm > gtol and k < maxiter:
+        pk = -np.dot(Hk, gfk)
+        alpha_k, fval, _ = scalar_search_wolfe1(
+            phi, derphi, old_fval, old_old_fval, np.dot(gfk, pk), c1=c1,
+            c2=c2, amax=1e100, amin=1e-100, xtol=1e-14)
+        if alpha_k is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LineSearchWarning)
+                alpha_k, _, _, fval, _, _ = scipy.optimize.line_search(
+                    lambda x: point(x)[1], lambda x: point(x)[2], xk, pk,
+                    gfk, old_fval, old_old_fval, c1=c1, c2=c2, amax=1e100)
+            if alpha_k is None:
+                status = 2
+                break
+        old_old_fval, old_fval = old_fval, fval
+        sk = alpha_k * pk
+        xk = xk + sk
+        _, _, gfkp1, read = point(xk)  # the search's last point: no new call
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.abs(gfk).max()
+        if callback is not None:
+            callback(scipy.optimize.OptimizeResult(
+                x=xk, fun=old_fval, read=read, grad_norm=gnorm))
+        if gnorm <= gtol:
+            break
+        if alpha_k * _norm2(pk) <= xrtol * (xrtol + _norm2(xk)):
+            break
+        if not np.isfinite(old_fval):
+            status = 2
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+        A1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
+                                           sk[np.newaxis, :])
+
+    if status != 2:
+        if k >= maxiter:
+            status = 1
+        elif np.isnan(gnorm) or np.isnan(old_fval) or np.isnan(xk).any():
+            status = 3
+    return scipy.optimize.OptimizeResult(
+        fun=old_fval, jac=gfk, hess_inv=Hk, nfev=nfev, status=status,
+        success=status == 0, message=_MESSAGES[status], x=xk, nit=k,
+        read=read, grad_norm=gnorm)
+
+
+def _norm2(v: np.ndarray) -> float:
+    """scipy's ``vecnorm(v)``, sum(|v|**2) ** 0.5, rounded as it rounds."""
+    return np.add.reduce(v * v) ** 0.5
+
+
 def _descend(theta0: np.ndarray, ctx: ProblemContext,
              opts: OptimizerOptions) -> tuple[dict, tuple]:
     """One BFGS descent on f = -log(-L) from ``theta0``.
@@ -221,40 +327,31 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
     Each BFGS point is one ``gradient`` call, divided by |L|; ``grad_tol``
     bounds max |grad f| = max |grad L| / |L|. A trial state with overlap
     exactly 0 has L = 0, where f is undefined: DegenerateStateError.
-    BFGS calls back at the point it evaluated last and ends at its last
-    accepted point (the start when nit is 0), so the read kept there is the
-    end point's. Returns the restart's record and its end: x, the breakdown
-    at x, and L and max |grad f| per iterate.
+    ``_bfgs`` hands back the read of each point it accepts and of its end
+    point (the start when nit is 0). Returns the restart's record and its
+    end: x, the breakdown at x, and L and max |grad f| per iterate.
     """
     history, grad_history = [], []
-    last = accepted = None  # (breakdown, max |grad f|) of a read
 
     def fun(th):
-        nonlocal last, accepted
         b, g = gradient(th, ctx)
         size = -b.loss  # |L|, since L <= 0
         if not size > 0.0:
             raise DegenerateStateError(
                 "<f|phi> is zero, so -log(-L) is undefined")
-        g = g / size
-        last = (b, float(np.max(np.abs(g))))
-        if accepted is None:  # the start
-            accepted = last
-        return -np.log(size), g
+        return -np.log(size), g / size, b
 
     def callback(intermediate_result):
-        nonlocal accepted
-        accepted = last
-        history.append(last[0].loss)
-        grad_history.append(last[1])
+        history.append(intermediate_result.read.loss)
+        grad_history.append(float(intermediate_result.grad_norm))
 
     res = scipy.optimize.minimize(
-        fun, theta0, jac=True, method="BFGS", callback=callback,
+        fun, theta0, method=_bfgs, callback=callback,
         options={"gtol": opts.grad_tol, "maxiter": opts.max_iter})
-    b, grad_norm = accepted
-    return ({"loss": b.loss, "nit": int(res.nit), "nfev": int(res.nfev),
-             "status": int(res.status), "message": str(res.message),
-             "grad_norm": grad_norm, "error": None},
+    b = res.read
+    return ({"loss": b.loss, "nit": res.nit, "nfev": res.nfev,
+             "status": res.status, "message": res.message,
+             "grad_norm": float(res.grad_norm), "error": None},
             (res.x, b, history, grad_history))
 
 

@@ -296,6 +296,45 @@ class TestMain:
         assert err.startswith("config error") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("num_qubits,reps", [
+        (5, 100000), (5, 5000), (20, 204), (None, 1000),
+    ])
+    def test_too_many_parameters_exit_two(self, tmp_path, capsys,
+                                          monkeypatch, num_qubits, reps):
+        """More than MAX_PARAMS angles (num_qubits 5 when unset) is
+        rejected while the config is read, before BFGS could ask for its
+        P x P matrices, with one stderr line."""
+        def unreachable(*args):
+            raise AssertionError("the config reached build_context")
+
+        monkeypatch.setattr(cli, "build_context", unreachable)
+        cfg = small_config(tmp_path, ansatz={"reps": reps})
+        if num_qubits is None:
+            del cfg["problem"]["num_qubits"]
+        else:
+            cfg["problem"]["num_qubits"] = num_qubits
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert f"at most {cli.MAX_PARAMS}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_parameter_limit_is_inclusive(self, tmp_path):
+        cfg = small_config(tmp_path, problem={"num_qubits": 4},
+                           ansatz={"reps": cli.MAX_PARAMS // 4 - 1})
+        assert load_config(write_config(tmp_path, cfg)) == cfg
+
+    def test_sweep_rejects_too_many_parameters(self, tmp_path, capsys,
+                                               monkeypatch):
+        """The limit holds for every swept qubit count, not only the
+        config's."""
+        monkeypatch.setattr(cli, "_sweep_worker", None)
+        cfg = small_config(tmp_path, ansatz={"reps": 1000})  # 3 * 1001 fits
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--qubits", "3,5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "5 * (1000 + 1)" in err
+
     @pytest.mark.parametrize("qubits", ["3,21", "3,60"])
     def test_sweep_rejects_too_many_qubits(self, tmp_path, capsys,
                                            monkeypatch, qubits):

@@ -496,3 +496,98 @@ class TestOptimize:
             assert len(profile.deflections) == 8
         record, _, _ = optimize(make_problem(), opts)
         assert len(record.theta_final) == 3 * 6
+
+
+def _same_as_scipy(fun_and_grad, x0, **options):
+    """``driver._bfgs`` and scipy's BFGS from ``x0`` under ``options``, both
+    through ``scipy.optimize.minimize``, agree bit for bit: the end point,
+    its f, gradient and inverse Hessian, nit, nfev, status, message and the
+    f of every iterate. Returns _bfgs's result."""
+    runs = []
+    for method, fun, kwargs in (
+            ("BFGS", fun_and_grad, {"jac": True}),
+            (driver._bfgs, lambda x: (*fun_and_grad(x), None), {})):
+        funs = []
+
+        def callback(intermediate_result):
+            funs.append(intermediate_result.fun)
+
+        runs.append((scipy.optimize.minimize(fun, x0, method=method,
+                                             callback=callback,
+                                             options=options, **kwargs),
+                     funs))
+    (ref, ref_funs), (res, funs) = runs
+    np.testing.assert_array_equal(res.x, ref.x)
+    np.testing.assert_array_equal(res.jac, ref.jac)
+    np.testing.assert_array_equal(res.hess_inv, ref.hess_inv)
+    assert (res.fun, res.nit, res.nfev, res.status, res.message) == (
+        ref.fun, ref.nit, ref.nfev, ref.status, ref.message)
+    assert funs == ref_funs and len(funs) == res.nit
+    return res
+
+
+def _beam_objective(ctx):
+    """f = -log(-L) and its gradient, as ``driver._descend`` descends on."""
+    def fun(th):
+        b, g = gradient(th, ctx)
+        return -np.log(-b.loss), g / -b.loss
+    return fun
+
+
+class TestBfgs:
+    """The descent's own BFGS loop is scipy's BFGS bit for bit; scipy's
+    ``minimize(method="BFGS", jac=True)`` is the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("options,status", [
+        ({"maxiter": 0}, 1),
+        ({"maxiter": 3}, 1),
+        ({"gtol": 1e-10}, 0),
+        ({"gtol": 1e-10, "xrtol": 1e-2}, 0),  # stops on the step size
+    ])
+    def test_rosenbrock(self, seed, options, status):
+        def rosen(x):
+            return scipy.optimize.rosen(x), scipy.optimize.rosen_der(x)
+
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 6)
+        assert _same_as_scipy(rosen, x0, **options).status == status
+
+    @pytest.mark.parametrize("case,n,reps,seed,max_iter,status", [
+        (BoundaryCase.CANTILEVER, 3, 1, 0, 3000, 0),
+        (BoundaryCase.CANTILEVER, 3, 2, 2, 3000, 2),
+        (BoundaryCase.CANTILEVER, 4, 1, 3, 100, 1),
+        (BoundaryCase.FFB, 4, 2, 1, 3000, 2),
+        (BoundaryCase.FFB, 3, 2, 0, 10, 1),
+    ])
+    def test_beam_objective(self, monkeypatch, case, n, reps, seed, max_iter,
+                            status):
+        """Each start runs through the wolfe2 fallback at least once except
+        the short status-1 runs; the status-0 start goes on after a
+        fallback that succeeded. ``_descend`` takes the same path."""
+        fallbacks = []
+        line_search = scipy.optimize.line_search
+
+        def counted(*args, **kwargs):
+            ret = line_search(*args, **kwargs)
+            fallbacks.append(ret[0] is not None)
+            return ret
+
+        monkeypatch.setattr(scipy.optimize, "line_search", counted)
+        ctx = build_context(make_problem(case, n, length=10.0,
+                                         youngs_modulus=1000.0), reps)
+        x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi,
+                                                 ctx.n_params)
+        res = _same_as_scipy(_beam_objective(ctx), x0, gtol=1e-8,
+                             maxiter=max_iter)
+        assert res.status == status
+        if status != 1:
+            assert fallbacks and all(fallbacks) == (status == 0)
+        searches = fallbacks[:]
+        fallbacks.clear()
+        run, (x, end, history, _) = driver._descend(
+            x0, ctx, OptimizerOptions(max_iter=max_iter))
+        assert fallbacks == searches
+        assert (run["nit"], run["nfev"], run["status"]) == (
+            res.nit, res.nfev, res.status)
+        np.testing.assert_array_equal(x, res.x)
+        assert -np.log(-end.loss) == res.fun and len(history) == res.nit
