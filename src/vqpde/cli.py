@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 optimization failure (a singular system, a
 degenerate trial state, or every restart failed), 2 config error,
-3 verification failure. VQPDE_THREADS, an integer, caps sweep
+3 verification failure. VQPDE_THREADS, a positive integer, caps sweep
 parallelism; a sweep starts at most one process per qubit count.
 """
 
@@ -121,13 +121,22 @@ def options_from_config(config: dict) -> OptimizerOptions:
     return _validated(OptimizerOptions, **config.get("optimizer", {}))
 
 
+def _make_dir(path: Path) -> Path:
+    """``path``, created with its parents, or ConfigError if it cannot be."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {path}: {exc}") from exc
+    return path
+
+
 def run_case(config: dict, output_dir: str | None = None) -> dict:
     """Execute one configured case and write result files."""
     problem = problem_from_config(config)
     opts = options_from_config(config)
     reps = _reps(config)
     _validated(check_int, "reps", reps, 0)
-    out = Path(output_dir or config.get("output_dir", "."))
+    out = _make_dir(Path(output_dir or config.get("output_dir", ".")))
 
     t0 = time.perf_counter()
     ctx = build_context(problem, reps)
@@ -180,10 +189,12 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
         "wall_time_seconds": wall,
     }
 
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "result.json").write_text(json.dumps(result, indent=2) + "\n")
-    _write_convergence(out / "convergence.csv", record)
-    _write_profile(out / "profile.csv", ctx, profile, u_phys)
+    try:
+        (out / "result.json").write_text(json.dumps(result, indent=2) + "\n")
+        _write_convergence(out / "convergence.csv", record)
+        _write_profile(out / "profile.csv", ctx, profile, u_phys)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc
     return result
 
 
@@ -220,12 +231,17 @@ def _sweep_worker(args):
 def run_sweep(config: dict, qubits: list[int]) -> list[dict]:
     base_dir = config.get("output_dir", ".")
     jobs = [(config, n, base_dir) for n in qubits]
-    threads = os.environ.get("VQPDE_THREADS", "1")
+    raw = os.environ.get("VQPDE_THREADS", "1")
     try:
-        max_workers = min(int(threads), len(jobs))
+        threads = int(raw)
     except ValueError:
-        raise ConfigError("VQPDE_THREADS must be an integer, "
-                          f"got {threads!r}") from None
+        threads = 0
+    if threads < 1:
+        raise ConfigError("VQPDE_THREADS must be a positive integer, "
+                          f"got {raw!r}")
+    max_workers = min(threads, len(jobs))
+    for n in qubits:  # every output directory before the first solve
+        _make_dir(Path(base_dir) / f"n{n}")
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = dict(pool.map(_sweep_worker, jobs))

@@ -201,6 +201,15 @@ def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return flip, sign
 
 
+@functools.lru_cache(maxsize=None)
+def _read_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_flip_table(m)``, flip_k[i] made the flat index i 2^m + flip_k[i]."""
+    flip, sign = _flip_table(m)
+    flat = flip + (np.arange(2 ** m) << m)
+    flat.setflags(write=False)
+    return flat, sign
+
+
 def _angles(theta: np.ndarray, n: int, reps: int) -> np.ndarray:
     theta, P = np.asarray(theta, dtype=float), n * (reps + 1)
     if theta.shape != (P,):
@@ -259,10 +268,12 @@ def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
     rows are qubits 0..h-1, columns qubits h..n-1. The layer's RYs act as
     X -> A X B^T with A and B the Kronecker products of the row and column
     rotations, so undoing it is X -> A^T X B, two matmuls, and the CNOT chain
-    before it is one gather. The reads come from two small products: for a
-    row qubit, sum_i sign_k[i] C[i, flip_k[i]] with C = mu psi^T, and for a
-    column qubit the same on D = mu^T psi, with the flip tables of h and
-    n - h qubits. That is O(L 2^n (2^h + 2^(n-h))) in BLAS for L = reps + 1
+    before it is one gather. A row qubit's read is
+    sum_i sign_k[i] C[i, flip_k[i]] with C = mu psi^T, a column qubit's the
+    same on D = mu^T psi, with the flip tables of h and n - h qubits. Each
+    step ``take``s those entries of C and D into (layer, qubit, i) buffers;
+    one sign multiply and one sum per half after the sweep give all L n
+    reads. That is O(L 2^n (2^h + 2^(n-h))) in BLAS for L = reps + 1
     layers, and no per-layer snapshot.
     """
     theta = _angles(theta, n, reps)
@@ -277,20 +288,22 @@ def ansatz_vjp(theta: np.ndarray, n: int, reps: int, phi: np.ndarray,
     np.negative(sin, out=rot[..., 0, 1])
     # Layer 0 is read, never undone.
     a, b = _kron_layers(rot[1:, :h]), _kron_layers(rot[1:, h:])
-    row_flip, row_sign = _flip_table(h)
-    col_flip, col_sign = _flip_table(n - h)
-    row_idx, col_idx = np.arange(rows), np.arange(cols)
+    (row_at, row_sign), (col_at, col_sign) = _read_table(h), _read_table(n - h)
     unchain = _cnot_chain_inverse(n)
     pair = np.concatenate([phi, lam]).reshape(2, rows, cols)
-    g = np.empty((reps + 1, n))
+    # ``take``: a strided gather's sums would add in another order.
+    row_reads = np.empty((reps + 1, h, rows))
+    col_reads = np.empty((reps + 1, n - h, cols))
     for layer in range(reps, -1, -1):
         psi, mu = pair
-        g[layer, :h] = (row_sign * (mu @ psi.T)[row_idx, row_flip]).sum(axis=1)
-        g[layer, h:] = (col_sign * (mu.T @ psi)[col_idx, col_flip]).sum(axis=1)
+        (mu @ psi.T).take(row_at, out=row_reads[layer], mode="clip")
+        (mu.T @ psi).take(col_at, out=col_reads[layer], mode="clip")
         if layer:
             pair = a[layer - 1].T @ pair @ b[layer - 1]
             pair = pair.reshape(2, -1).take(unchain, axis=1).reshape(
                 2, rows, cols)
+    g = np.concatenate([(row_sign * row_reads).sum(axis=2),
+                        (col_sign * col_reads).sum(axis=2)], axis=1)
     return 0.5 * g.ravel()
 
 

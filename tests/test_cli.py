@@ -377,6 +377,59 @@ class TestMain:
         assert "VQPDE_THREADS" in capsys.readouterr().err
         assert pools == []
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_sweep_rejects_threads_below_one(self, tmp_path, capsys,
+                                             monkeypatch, threads):
+        """A count below 1 is a config error, not a serial sweep."""
+        pools = _fake_pool(monkeypatch)
+        monkeypatch.setattr(cli, "_sweep_worker", None)
+        monkeypatch.setenv("VQPDE_THREADS", threads)
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", "3,4"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "VQPDE_THREADS" in err
+        assert pools == [] and not (tmp_path / "out").exists()
+
+    def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys,
+                                             monkeypatch):
+        """An output_dir under a regular file fails before the solve, not
+        with a traceback after it."""
+        def unreachable(*args):
+            raise AssertionError("the run reached build_context")
+
+        monkeypatch.setattr(cli, "build_context", unreachable)
+        (tmp_path / "file").write_text("")
+        cfg = small_config(tmp_path, output_dir=str(tmp_path / "file" / "out"))
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "output_dir" in err
+
+    @pytest.mark.parametrize("blocked", ["out", "out/n4"])
+    def test_sweep_uncreatable_output_dir_exit_two(self, tmp_path, capsys,
+                                                   monkeypatch, blocked):
+        """Every qubit count's directory is made before the first solve, so
+        a blocked n4/ stops the sweep before n = 3 is solved."""
+        def unreachable(*args):
+            raise AssertionError("the sweep reached build_context")
+
+        monkeypatch.setattr(cli, "build_context", unreachable)
+        (tmp_path / blocked).parent.mkdir(exist_ok=True)
+        (tmp_path / blocked).write_text("")
+        path = write_config(tmp_path, small_config(tmp_path))
+        assert main(["sweep", "--config", path, "--qubits", "3,4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        """A result file that cannot be written is one stderr line."""
+        (tmp_path / "out" / "result.json").mkdir(parents=True)
+        cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 2})
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "cannot write outputs" in err
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
