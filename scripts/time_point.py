@@ -5,10 +5,13 @@ For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
   point          one ``driver.gradient`` call (the loss and its exact
                  gradient, which is all one BFGS point costs), the min over
                  5 blocks of the mean per call in the block;
-  states         its forward half, one ``simulator.ansatz_states`` call
-                 (state preparation), timed the same way;
-  vjp            its reverse half, one ``simulator.ansatz_vjp`` call (the
-                 gradient's reverse sweep), timed the same way;
+  factors        the per-layer Kronecker factors both halves run on, one
+                 ``simulator.layer_factors`` call, timed the same way;
+  states         its forward half, one ``simulator.ansatz_states`` call on
+                 those factors (state preparation), timed the same way;
+  vjp            its reverse half, one ``simulator.ansatz_vjp`` call on
+                 those factors (the gradient's reverse sweep), timed the
+                 same way;
   build_context  one ``build_context`` call, the min of 5 calls;
   bfgs it        the BFGS overhead per iteration: the wall time of one
                  30-iteration descent (one restart, grad_tol 0), less the
@@ -33,7 +36,7 @@ import scipy
 from vqpde import driver
 from vqpde.driver import OptimizerOptions, build_context, gradient, optimize
 from vqpde.fem import BeamProblem, BoundaryCase
-from vqpde.simulator import ansatz_states, ansatz_vjp
+from vqpde.simulator import ansatz_states, ansatz_vjp, layer_factors
 
 REPS = 5
 ITERATIONS = 30
@@ -80,8 +83,9 @@ def bfgs_iteration_ms(problem, opts, ctx, blocks: int) -> float:
 def main() -> int:
     print(f"cpu_count={os.cpu_count()} numpy={np.__version__} "
           f"scipy={scipy.__version__} case=cantilever reps={REPS}")
-    print(f"{'n':>3}{'P':>5}{'point ms':>11}{'states ms':>11}{'vjp ms':>9}"
-          f"{'build_context ms':>18}{'bfgs it ms':>12}")
+    print(f"{'n':>3}{'P':>5}{'point ms':>11}{'factors ms':>12}"
+          f"{'states ms':>11}{'vjp ms':>9}{'build_context ms':>18}"
+          f"{'bfgs it ms':>12}")
     for n, calls in CALLS_PER_BLOCK.items():
         problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
                               second_moment=1.0, num_qubits=n,
@@ -91,9 +95,11 @@ def main() -> int:
         point = best_mean_ms(lambda: gradient(theta, ctx), calls, BLOCKS)
         b = gradient(theta, ctx)[0]
         lam = b.c_star * (b.c_star * b.k_phi - ctx.load.vector)
-        states = best_mean_ms(lambda: ansatz_states(theta, n, REPS), calls,
+        factors = best_mean_ms(lambda: layer_factors(theta, n, REPS), calls,
+                               BLOCKS)
+        states = best_mean_ms(lambda: ansatz_states(b.factors), calls,
                               BLOCKS)
-        vjp = best_mean_ms(lambda: ansatz_vjp(theta, n, REPS, b.state, lam),
+        vjp = best_mean_ms(lambda: ansatz_vjp(b.factors, b.state, lam),
                            calls, BLOCKS)
         build = best_mean_ms(lambda: build_context(problem, reps=REPS), 1,
                              BLOCKS)
@@ -101,8 +107,8 @@ def main() -> int:
         opts = OptimizerOptions(seed=0, restarts=1, max_iter=ITERATIONS,
                                 grad_tol=0.0)
         bfgs_it = bfgs_iteration_ms(problem, opts, ctx, BLOCKS)
-        print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{states:>11.3f}"
-              f"{vjp:>9.3f}{build:>18.3f}{bfgs_it:>12.3f}")
+        print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{factors:>12.3f}"
+              f"{states:>11.3f}{vjp:>9.3f}{build:>18.3f}{bfgs_it:>12.3f}")
     return 0
 
 

@@ -34,10 +34,14 @@ class ConfigError(ValueError):
     pass
 
 
-MAX_QUBITS = 20  # the engine's flip table alone is about 335 MB at n = 20
+MAX_QUBITS = 20  # an 8 MiB state; MAX_FACTOR_BYTES bounds reps there
 # BFGS keeps a dense P x P float64 inverse Hessian and two update
 # temporaries, with P = num_qubits * (reps + 1): 128 MiB each at P = 4096.
 MAX_PARAMS = 4096
+# The engine holds a 2^h x 2^h and a 2^(n-h) x 2^(n-h) float64 Kronecker
+# factor per RY layer, h = n // 2 (``simulator.layer_factors``): 16 MiB a
+# layer at n = 20, so at most 64 layers there.
+MAX_FACTOR_BYTES = 2 ** 30
 
 
 def _is_int(value) -> bool:
@@ -45,17 +49,26 @@ def _is_int(value) -> bool:
 
 
 def _check_size(n, reps) -> None:
-    """ConfigError unless 3 <= n <= MAX_QUBITS and the ansatz has at most
-    MAX_PARAMS angles, before anything is allocated. A non-integer value is
-    left to the type checks that follow."""
+    """ConfigError unless 3 <= n <= MAX_QUBITS, the ansatz has at most
+    MAX_PARAMS angles and its layer factors fit in MAX_FACTOR_BYTES, before
+    anything is allocated. A non-integer value is left to the type checks
+    that follow."""
     if not _is_int(n):
         return
     if not 3 <= n <= MAX_QUBITS:
         raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
                           f"got {n}")
-    if _is_int(reps) and n * (reps + 1) > MAX_PARAMS:
+    if not _is_int(reps):
+        return
+    if n * (reps + 1) > MAX_PARAMS:
         raise ConfigError(f"num_qubits * (reps + 1) must be at most "
                           f"{MAX_PARAMS}, got {n} * ({reps} + 1)")
+    factor_bytes = (reps + 1) * (4 ** (n // 2) + 4 ** (n - n // 2)) * 8
+    if factor_bytes > MAX_FACTOR_BYTES:
+        raise ConfigError(
+            f"the ansatz's layer factors at num_qubits {n} and reps {reps} "
+            f"need {factor_bytes / 2 ** 20:.0f} MiB, more than "
+            f"{MAX_FACTOR_BYTES // 2 ** 20} MiB")
 
 
 _PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",

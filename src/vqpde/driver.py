@@ -10,16 +10,23 @@ depend on that size or on EI. Everything recorded stays in units of L. A
 state with overlap exactly 0 has L = 0, where f is undefined, and fails its
 restart.
 
-The loss and the final state come from one real float64 engine,
-``simulator.ansatz_states``, read by ``evaluate_loss`` against the one sparse
-``K_mod``. ``gradient`` returns that read together with the exact gradient of
-L, one reverse sweep from the same state that undoes one RY layer per step
-(``simulator.ansatz_vjp``), so each BFGS point prepares its trial state
-once; the records and the end point's breakdown reuse the reads of the
-points BFGS accepted. The paper's measurement recipe for quad, the
-structured Pauli terms plus one LSBT pair observable per removed coupling,
-and the ancilla overlap circuit are the gate-level oracles for those reads,
-checked against ``K_mod`` by ``verify.py`` and the tests.
+The loss and the final state come from one real float64 engine:
+``evaluate_loss`` builds the ansatz's per-layer Kronecker factors once
+(``simulator.layer_factors``), runs the forward state through them
+(``simulator.ansatz_states``) and reads it against the one sparse ``K_mod``.
+``gradient`` returns that read together with the exact gradient of L, one
+reverse sweep from the same state through the same factors that undoes one
+RY layer per step (``simulator.ansatz_vjp``), so each BFGS point builds its
+factors and prepares its trial state once; the records and the end point's
+breakdown reuse the reads of the points BFGS accepted. The forward rounds
+differently from the gate path (by at most 3.6e-16 over n = 2...14), so the
+descents differ from a gate-path forward's in their last bits; under the
+noise harness ``scripts/gradient_noise_spread.py --runs 6`` the cantilever's
+best-of-5 error spreads over the same range either way. The paper's
+measurement recipe for quad, the structured Pauli terms plus one LSBT pair
+observable per removed coupling, and the ancilla overlap circuit are the
+gate-level oracles for those reads, checked against ``K_mod`` by
+``verify.py`` and the tests.
 
 The descent loop ``_bfgs`` is scipy's BFGS step for step, with scipy's
 Moré-Thuente line search and wolfe2 fallback, less scipy's per-iteration
@@ -78,6 +85,8 @@ class LossBreakdown:
     loss: float
     state: np.ndarray = field(compare=False)  # unit phi; not in == or hash
     k_phi: np.ndarray | None = field(default=None, compare=False)  # K_mod phi
+    # simulator.layer_factors at the read's theta, for the reverse sweep
+    factors: tuple | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -160,19 +169,22 @@ def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
     """The engine's loss at one parameter vector.
 
     Reads the real engine's unit state phi against the sparse K_mod, quad as
-    <phi|K_mod|phi> and the overlap as <f|phi>. The structured terms and the
-    LSBT pairs measure the same quad on hardware; they are the oracle here.
+    <phi|K_mod|phi> and the overlap as <f|phi>. The breakdown carries the
+    layer factors phi was built from, so the gradient's reverse sweep reuses
+    them. The structured terms and the LSBT pairs measure the same quad on
+    hardware; they are the oracle here.
 
     phi is a unit vector, so quad / ||K_mod phi|| does not depend on the
     beam's stiffness scale EI; a state where it falls to 1e-12 or below sits
     in the near-null space and raises.
     """
-    phi = simulator.ansatz_states(theta, ctx.n_qubits, ctx.reps)
+    factors = simulator.layer_factors(theta, ctx.n_qubits, ctx.reps)
+    phi = simulator.ansatz_states(factors)
     k_phi = ctx.K_mod @ phi
     quad = np.einsum("i,i->", phi, k_phi)
     if quad <= 1e-12 * np.linalg.norm(k_phi):
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi)
+    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi, factors)
 
 
 def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
@@ -182,13 +194,14 @@ def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown
 
 
 def _breakdown(quad: float, overlap: float, phi: np.ndarray,
-               k_phi: np.ndarray | None = None) -> LossBreakdown:
+               k_phi: np.ndarray | None = None,
+               factors: tuple | None = None) -> LossBreakdown:
     if quad <= 0.0:  # the dense path's guard; the engine's is in evaluate_loss
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return LossBreakdown(quad=float(quad), overlap=float(overlap),
                          c_star=float(overlap / quad),
                          loss=float(-overlap ** 2 / (2.0 * quad)), state=phi,
-                         k_phi=k_phi)
+                         k_phi=k_phi, factors=factors)
 
 
 def gradient(theta: np.ndarray, ctx: ProblemContext
@@ -198,12 +211,13 @@ def gradient(theta: np.ndarray, ctx: ProblemContext
     The loss is one ``evaluate_loss`` read. With lam = dL/dphi =
     (o/q)((o/q) K_mod phi - f), the gradient is lam . dphi/dtheta, which
     ``simulator.ansatz_vjp`` reads by walking the ansatz backwards from phi.
-    K_mod phi is the read's own ``k_phi``.
+    K_mod phi and the layer factors are the read's own ``k_phi`` and
+    ``factors``.
     """
     b = evaluate_loss(theta, ctx)
     c = b.c_star
     lam = c * (c * b.k_phi - ctx.load.vector)
-    return b, simulator.ansatz_vjp(theta, ctx.n_qubits, ctx.reps, b.state, lam)
+    return b, simulator.ansatz_vjp(b.factors, b.state, lam)
 
 
 def extract_profile(ctx: ProblemContext,

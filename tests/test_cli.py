@@ -319,6 +319,24 @@ class TestMain:
         assert f"at most {cli.MAX_PARAMS}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n,reps,fits", [
+        (20, 63, True), (20, 64, False), (20, 203, False),
+        (19, 101, True), (19, 102, False), (18, 226, True),
+    ])
+    def test_layer_factor_limit(self, n, reps, fits):
+        """(reps + 1) (4^h + 4^(n-h)) 8 bytes of layer factors, h = n // 2,
+        must fit in MAX_FACTOR_BYTES: 16 MiB a layer at n = 20, 10 MiB at
+        n = 19. Only the check runs; nothing of that size is allocated."""
+        h = n // 2
+        size = (reps + 1) * (4 ** h + 4 ** (n - h)) * 8
+        assert n * (reps + 1) <= cli.MAX_PARAMS
+        assert (size <= cli.MAX_FACTOR_BYTES) == fits
+        if fits:
+            cli._check_size(n, reps)
+        else:
+            with pytest.raises(ConfigError, match="layer factors"):
+                cli._check_size(n, reps)
+
     def test_parameter_limit_is_inclusive(self, tmp_path):
         cfg = small_config(tmp_path, problem={"num_qubits": 4},
                            ansatz={"reps": cli.MAX_PARAMS // 4 - 1})

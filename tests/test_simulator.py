@@ -9,10 +9,12 @@ from vqpde.simulator import (ArityError, Gate, Statevector, ansatz_gates,
                              apply_gate, cnot,
                              expectation_pauli,
                              expectation_structured_term, expectation_tail, h,
-                             mcx, overlap_term, prepare_ansatz, ry,
-                             shift_by_two, shift_circuit, superposition_state, x)
-from vqpde.simulator import (_angles, _cnot_chain_inverse, _flip_table,
-                             _kron_layers)
+                             layer_factors, mcx, overlap_term, prepare_ansatz,
+                             ry, shift_by_two, shift_circuit,
+                             superposition_state, x)
+from vqpde.simulator import _cnot_chain_inverse, _flip_table
+
+U = np.finfo(float).eps / 2  # unit roundoff of float64
 
 
 def random_state(m, seed, real=False):
@@ -20,6 +22,10 @@ def random_state(m, seed, real=False):
     amps = rng.normal(size=2 ** m) + (0 if real else 1j * rng.normal(size=2 ** m))
     amps = amps / np.linalg.norm(amps)
     return Statevector(amps.astype(complex), m)
+
+
+def engine_state(theta, n, reps):
+    return ansatz_states(layer_factors(theta, n, reps))
 
 
 def gate_matrix(gate, m):
@@ -126,37 +132,56 @@ class TestAnsatz:
         with pytest.raises(ArityError):
             prepare_ansatz(5, 5, np.zeros(29))
         with pytest.raises(ArityError):
-            ansatz_states(np.zeros(29), 5, 5)
+            layer_factors(np.zeros(29), 5, 5)
         with pytest.raises(ArityError):
-            ansatz_states(np.zeros((1, 30)), 5, 5)
+            layer_factors(np.zeros((1, 30)), 5, 5)
 
     @pytest.mark.parametrize("n,reps", [(1, 0), (2, 3), (5, 5), (8, 2),
                                         (10, 1), (12, 5)])
     def test_real_engine_equals_gate_path(self, n, reps):
-        """Each parameter row's state, bit for bit the gate-built state."""
+        """Each parameter row's state equals the gate-built state to within
+        an a-priori rounding bound, in the 2-norm (so also entry by entry).
+
+        Both paths apply the same L = reps + 1 orthogonal RY layers and
+        exact CNOT permutations to |0...0>, so the difference is the sum of
+        their rounding errors, each carried on unchanged in norm by the
+        later orthogonal layers. To first order in the unit roundoff u, on
+        a unit state, with m = n - h, h = n // 2, and every cos and sin
+        within 4 ulps (8u relative; libm and SIMD builds promise that):
+        - a gate RY on one pair gives c a0 - s a1, two products and a sum,
+          each output off by at most 2u (|c a0| + |s a1|); over the state
+          that is 2u || |RY| || <= 2 sqrt(2) u, since |RY| has norm
+          |c| + |s| <= sqrt(2). Its rounded c and s move it by at most
+          8 sqrt(2) u more: 10 sqrt(2) u per gate, L n gates.
+        - a Kronecker factor entry is a product of h rounded cos and sin,
+          h - 1 multiplies: relative error <= 9h u, so the factor moves by
+          at most 9h u || |a| || <= 9h u 2^(h/2).
+        - the matmul a X sums 2^h products per entry: |error| <=
+          2^h u |a| |X|, at most 2^h u 2^(h/2) in norm (the layer-0 outer
+          product rounds each entry once, within that).
+        - the same two terms for b, with m for h.
+        So ||engine - gate|| <= L u ((2^h + 9h) 2^(h/2)
+        + (2^m + 9m) 2^(m/2) + 10 sqrt(2) n).
+        """
+        h, m = n // 2, n - n // 2
+        bound = (reps + 1) * U * ((2 ** h + 9 * h) * 2 ** (h / 2)
+                                  + (2 ** m + 9 * m) * 2 ** (m / 2)
+                                  + 10 * np.sqrt(2) * n)
         rng = np.random.default_rng(n + reps)
         for theta in rng.uniform(-np.pi, np.pi, (4, n * (reps + 1))):
-            state = ansatz_states(theta, n, reps)
+            state = engine_state(theta, n, reps)
             assert state.shape == (2 ** n,) and state.dtype == np.float64
-            np.testing.assert_array_equal(
-                state, prepare_ansatz(n, reps, theta).real_vector())
+            gate = prepare_ansatz(n, reps, theta).real_vector()
+            assert np.linalg.norm(state - gate) <= bound
 
 
 def per_layer_vjp(theta, n, reps, phi, lam):
     """``ansatz_vjp`` with each layer's reads gathered, signed and summed
     inside the sweep: the rounding the batched reads must keep bit for bit,
     since the descent (criterion 6) is chaotic in the gradient's last bits."""
-    theta = _angles(theta, n, reps)
+    a, b = layer_factors(theta, n, reps)
     h = n // 2
     rows, cols = 2 ** h, 2 ** (n - h)
-    half = 0.5 * theta.reshape(reps + 1, n)
-    cos, sin = np.cos(half), np.sin(half)
-    rot = np.empty((reps + 1, n, 2, 2))
-    rot[..., 0, 0] = cos
-    rot[..., 1, 1] = cos
-    rot[..., 1, 0] = sin
-    np.negative(sin, out=rot[..., 0, 1])
-    a, b = _kron_layers(rot[1:, :h]), _kron_layers(rot[1:, h:])
     row_flip, row_sign = _flip_table(h)
     col_flip, col_sign = _flip_table(n - h)
     row_idx, col_idx = np.arange(rows), np.arange(cols)
@@ -168,7 +193,7 @@ def per_layer_vjp(theta, n, reps, phi, lam):
         g[layer, :h] = (row_sign * (mu @ psi.T)[row_idx, row_flip]).sum(axis=1)
         g[layer, h:] = (col_sign * (mu.T @ psi)[col_idx, col_flip]).sum(axis=1)
         if layer:
-            pair = a[layer - 1].T @ pair @ b[layer - 1]
+            pair = a[layer].T @ pair @ b[layer]
             pair = pair.reshape(2, -1).take(unchain, axis=1).reshape(
                 2, rows, cols)
     return 0.5 * g.ravel()
@@ -193,11 +218,12 @@ class TestAnsatzVjp:
         lam = rng.normal(size=2 ** n)
         rows = np.repeat(theta[None, :], P, axis=0)
         rows[np.arange(P), np.arange(P)] += np.pi
-        want = np.array([0.5 * (lam @ ansatz_states(row, n, reps))
+        want = np.array([0.5 * (lam @ engine_state(row, n, reps))
                          for row in rows])
-        phi = ansatz_states(theta, n, reps)
+        factors = layer_factors(theta, n, reps)
+        phi = ansatz_states(factors)
         phi0, lam0 = phi.copy(), lam.copy()
-        got = ansatz_vjp(theta, n, reps, phi, lam)
+        got = ansatz_vjp(factors, phi, lam)
         # phi is the caller's state (LossBreakdown.state): no step of the
         # sweep may write through to it, or to lam.
         np.testing.assert_array_equal(phi, phi0)
@@ -219,17 +245,18 @@ class TestAnsatzVjp:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-np.pi, np.pi, n * (reps + 1))
         lam = rng.normal(size=2 ** n)
-        phi = ansatz_states(theta, n, reps)
+        factors = layer_factors(theta, n, reps)
+        phi = ansatz_states(factors)
         np.testing.assert_array_equal(
-            ansatz_vjp(theta, n, reps, phi, lam),
+            ansatz_vjp(factors, phi, lam),
             per_layer_vjp(theta, n, reps, phi, lam), strict=True)
 
     def test_parameter_count(self):
-        phi = ansatz_states(np.zeros(30), 5, 5)
-        with pytest.raises(ArityError):
-            ansatz_vjp(np.zeros(29), 5, 5, phi, phi)
-        with pytest.raises(ArityError):
-            ansatz_vjp(np.zeros((1, 30)), 5, 5, phi, phi)
+        """One derivative per angle of the layout the factors were built
+        for; ``TestAnsatz`` checks that other lengths get no factors."""
+        factors = layer_factors(np.zeros(30), 5, 5)
+        phi = ansatz_states(factors)
+        assert ansatz_vjp(factors, phi, phi).shape == (30,)
 
 
 class TestShiftCircuit:
