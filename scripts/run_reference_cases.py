@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vqpde.cli import run_case
+from vqpde.cli import parse_config, run_case
 
 CASES = ("pbc", "ssb", "ffb", "cantilever")
 
@@ -43,10 +43,10 @@ def main(argv=None) -> int:
             "ansatz": {"reps": 5},
             "optimizer": {"seed": args.seed, "restarts": args.restarts,
                           "max_iter": args.max_iter},
+            "output_dir": str(Path(args.output_dir) / case),
         }
-        out = Path(args.output_dir) / case
         print(f"running {case} ...", flush=True)
-        result = run_case(config, output_dir=str(out))
+        result = run_case(parse_config(config))
         m = result["metrics"]
         conv = result["convergence"]
         theta = np.array(conv["theta_final"], dtype=float)

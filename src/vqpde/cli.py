@@ -1,5 +1,10 @@
 """Configuration-driven experiment runner.
 
+``parse_config`` checks a config's JSON value whole, sizes first, and
+returns a ``RunConfig``; ``run_case`` solves one and writes its result
+files, and ``run_sweep`` solves one at several qubit counts. Nothing is
+allocated and no directory is made for a config that fails a check.
+
 Subcommands:
   run    --config FILE          one case -> result.json, convergence.csv, profile.csv
   sweep  --config FILE --qubits 3,4,5   same case across qubit counts
@@ -17,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -44,22 +50,13 @@ MAX_PARAMS = 4096
 MAX_FACTOR_BYTES = 2 ** 30
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_size(n, reps) -> None:
+def _check_size(n: int, reps: int) -> None:
     """ConfigError unless 3 <= n <= MAX_QUBITS, the ansatz has at most
     MAX_PARAMS angles and its layer factors fit in MAX_FACTOR_BYTES, before
-    anything is allocated. A non-integer value is left to the type checks
-    that follow."""
-    if not _is_int(n):
-        return
+    anything is allocated."""
     if not 3 <= n <= MAX_QUBITS:
         raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
                           f"got {n}")
-    if not _is_int(reps):
-        return
     if n * (reps + 1) > MAX_PARAMS:
         raise ConfigError(f"num_qubits * (reps + 1) must be at most "
                           f"{MAX_PARAMS}, got {n} * ({reps} + 1)")
@@ -71,45 +68,24 @@ def _check_size(n, reps) -> None:
             f"{MAX_FACTOR_BYTES // 2 ** 20} MiB")
 
 
-_PROBLEM_KEYS = {"length", "youngs_modulus", "second_moment", "num_qubits",
-                 "boundary_case"}
-_ANSATZ_KEYS = {"reps"}
-_OPTIMIZER_KEYS = {"seed", "restarts", "max_iter", "grad_tol"}
-_TOP_KEYS = {"problem", "ansatz", "optimizer", "output_dir"}
+# Each section's keys. The problem defaults, in this order, are also the
+# order of result.json's problem echo.
 _PROBLEM_DEFAULTS = {"length": 10.0, "youngs_modulus": 1000.0,
-                     "second_moment": 1.0, "num_qubits": 5}
+                     "second_moment": 1.0, "num_qubits": 5,
+                     "boundary_case": "cantilever"}
+_SECTIONS = {"problem": _PROBLEM_DEFAULTS, "ansatz": {"reps"},
+             "optimizer": {f.name for f in dataclasses.fields(OptimizerOptions)}}
 
 
-def _reps(config: dict):
-    """The config's ansatz reps, 5 when unset; its type is checked later."""
-    return config.get("ansatz", {}).get("reps", 5)
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """One checked run: the beam, the ansatz depth, the optimizer, and the
+    directory its result files go to."""
 
-
-def _check_keys(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_keys(raw, _TOP_KEYS, "config root")
-    prob = raw.get("problem", {})
-    _check_keys(prob, _PROBLEM_KEYS, "problem")
-    _check_keys(raw.get("ansatz", {}), _ANSATZ_KEYS, "ansatz")
-    _check_keys(raw.get("optimizer", {}), _OPTIMIZER_KEYS, "optimizer")
-    out = raw.get("output_dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"output_dir must be a string, got {out!r}")
-    _check_size(prob.get("num_qubits", _PROBLEM_DEFAULTS["num_qubits"]),
-                _reps(raw))
-    return raw
+    problem: BeamProblem
+    reps: int
+    opts: OptimizerOptions
+    output_dir: str
 
 
 def _validated(build, *args, **kwargs):
@@ -120,18 +96,46 @@ def _validated(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def problem_from_config(config: dict) -> BeamProblem:
-    prob = dict(config.get("problem", {}))
-    case = prob.pop("boundary_case", "cantilever")
+def parse_config(raw) -> RunConfig:
+    """The run a config's JSON value describes, every default applied; or
+    ConfigError. The sizes are checked before the problem is built, and
+    nothing is allocated or created."""
+    def section(value, allowed, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = set(value) - set(allowed)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        return value
+
+    section(raw, {*_SECTIONS, "output_dir"}, "config root")
+    prob, ansatz, optimizer = (section(raw.get(name, {}), keys, name)
+                               for name, keys in _SECTIONS.items())
+    out = raw.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a string, got {out!r}")
+    prob = _PROBLEM_DEFAULTS | prob
+    reps = ansatz.get("reps", 5)
+    _validated(check_int, "reps", reps, 0)
+    # A type check only: the range of num_qubits is _check_size's.
+    _validated(check_int, "num_qubits", prob["num_qubits"], -math.inf)
+    _check_size(prob["num_qubits"], reps)
+    case = prob["boundary_case"]
     if not isinstance(case, str):
         raise ConfigError(f"boundary_case must be a string, got {case!r}")
-    defaults = _PROBLEM_DEFAULTS | prob
-    return _validated(lambda: BeamProblem(
-        boundary_case=BoundaryCase(case.lower()), **defaults))
+    problem = _validated(lambda: BeamProblem(
+        **(prob | {"boundary_case": BoundaryCase(case.lower())})))
+    return RunConfig(problem, reps, _validated(OptimizerOptions, **optimizer),
+                     out)
 
 
-def options_from_config(config: dict) -> OptimizerOptions:
-    return _validated(OptimizerOptions, **config.get("optimizer", {}))
+def load_config(path: str) -> RunConfig:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(raw)
 
 
 def _make_dir(path: Path) -> Path:
@@ -143,13 +147,10 @@ def _make_dir(path: Path) -> Path:
     return path
 
 
-def run_case(config: dict, output_dir: str | None = None) -> dict:
-    """Execute one configured case and write result files."""
-    problem = problem_from_config(config)
-    opts = options_from_config(config)
-    reps = _reps(config)
-    _validated(check_int, "reps", reps, 0)
-    out = _make_dir(Path(output_dir or config.get("output_dir", ".")))
+def run_case(run: RunConfig) -> dict:
+    """Execute one checked run and write its result files."""
+    problem, reps, opts = run.problem, run.reps, run.opts
+    out = _make_dir(Path(run.output_dir))
 
     t0 = time.perf_counter()
     ctx = build_context(problem, reps)
@@ -166,13 +167,9 @@ def run_case(config: dict, output_dir: str | None = None) -> dict:
 
     result = {
         "config": {
-            "problem": {
-                "length": problem.length,
-                "youngs_modulus": problem.youngs_modulus,
-                "second_moment": problem.second_moment,
-                "num_qubits": problem.num_qubits,
-                "boundary_case": problem.boundary_case.value,
-            },
+            "problem": {key: getattr(problem, key)
+                        for key in _PROBLEM_DEFAULTS}
+            | {"boundary_case": problem.boundary_case.value},
             "ansatz": {"reps": reps},
             "optimizer": dataclasses.asdict(opts),
         },
@@ -234,16 +231,16 @@ def _write_profile(path: Path, ctx, profile, u_phys):
                              repr(float(u_phys[2 * i + 1]))])
 
 
-def _sweep_worker(args):
-    config, n, base_dir = args
-    cfg = json.loads(json.dumps(config))
-    cfg.setdefault("problem", {})["num_qubits"] = n
-    return n, run_case(cfg, output_dir=str(Path(base_dir) / f"n{n}"))
-
-
-def run_sweep(config: dict, qubits: list[int]) -> list[dict]:
-    base_dir = config.get("output_dir", ".")
-    jobs = [(config, n, base_dir) for n in qubits]
+def run_sweep(run: RunConfig, qubits: list[int]) -> list[dict]:
+    """``run`` at each qubit count n, its outputs in ``output_dir/n<n>``.
+    Every run is checked, and every directory made, before the first solve."""
+    if len(set(qubits)) < len(qubits):
+        raise ConfigError("sweep qubit counts must be distinct")
+    for n in qubits:
+        _check_size(n, run.reps)
+    runs = [dataclasses.replace(
+        run, problem=_validated(dataclasses.replace, run.problem, num_qubits=n),
+        output_dir=str(Path(run.output_dir) / f"n{n}")) for n in qubits]
     raw = os.environ.get("VQPDE_THREADS", "1")
     try:
         threads = int(raw)
@@ -252,15 +249,13 @@ def run_sweep(config: dict, qubits: list[int]) -> list[dict]:
     if threads < 1:
         raise ConfigError("VQPDE_THREADS must be a positive integer, "
                           f"got {raw!r}")
-    max_workers = min(threads, len(jobs))
-    for n in qubits:  # every output directory before the first solve
-        _make_dir(Path(base_dir) / f"n{n}")
+    for each in runs:
+        _make_dir(Path(each.output_dir))
+    max_workers = min(threads, len(runs))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(_sweep_worker, jobs))
-    else:
-        results = dict(map(_sweep_worker, jobs))
-    return [results[n] for n in qubits]
+            return list(pool.map(run_case, runs))
+    return list(map(run_case, runs))
 
 
 def main(argv=None) -> int:
@@ -288,22 +283,17 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            config = load_config(args.config)
-            result = run_case(config)
+            result = run_case(load_config(args.config))
             print(json.dumps(result["metrics"], indent=2))
             return 0
         if args.command == "sweep":
-            config = load_config(args.config)
+            run = load_config(args.config)
             try:
                 qubits = [int(s) for s in args.qubits.split(",")]
             except ValueError:
                 raise ConfigError("--qubits must be comma-separated integers, "
                                   f"got {args.qubits!r}") from None
-            if len(set(qubits)) < len(qubits):
-                raise ConfigError("sweep qubit counts must be distinct")
-            for n in qubits:
-                _check_size(n, _reps(config))
-            results = run_sweep(config, qubits)
+            results = run_sweep(run, qubits)
             for n, res in zip(qubits, results):
                 print(f"n={n}: terms={res['structured_terms']} "
                       f"accuracy={res['metrics']['accuracy_pct']:.4f}%")
@@ -324,7 +314,3 @@ def main(argv=None) -> int:
     except OptimizationFailedError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -132,8 +132,8 @@ def decompose_element(Ke: np.ndarray) -> list[tuple[float, str]]:
     return coeffs
 
 
-def build_structured(problem: BeamProblem, K_bc: scipy.sparse.csr_array, *,
-                     flip_k2_sign: bool = False) -> StructuredOperator:
+def build_structured(problem: BeamProblem,
+                     K_bc: scipy.sparse.csr_array) -> StructuredOperator:
     """Structured representation of the constrained stiffness matrix K_mod.
 
     Open chain: aligned blocks + shifted blocks - shifted projector-prefixed
@@ -141,14 +141,10 @@ def build_structured(problem: BeamProblem, K_bc: scipy.sparse.csr_array, *,
     is a real element, so the correction is omitted (12 terms). Each coupling
     that ``set_to_zero`` removes, an upper-triangle entry (p, q, c) of its
     ``K_bc``, becomes one boundary pair observable.
-
-    ``flip_k2_sign`` is a debug-only negative control for the verification
-    oracles.
     """
     Ke = element_stiffness(problem.youngs_modulus, problem.second_moment,
                            problem.element_length)
     element_terms = decompose_element(Ke)
-    k2_sign = 1 if flip_k2_sign else -1
 
     terms: list[StructuredTerm] = []
     for c, tail in element_terms:
@@ -158,7 +154,7 @@ def build_structured(problem: BeamProblem, K_bc: scipy.sparse.csr_array, *,
     if problem.boundary_case is not BoundaryCase.PBC:
         for c, tail in element_terms:
             terms.append(StructuredTerm(c, Prefix.ZERO_PROJECTOR, tail,
-                                        shift=2, sign=k2_sign))
+                                        shift=2, sign=-1))
 
     removed = scipy.sparse.triu(K_bc, k=1).tocoo()
     pairs = sorted(zip(removed.row.tolist(), removed.col.tolist(),

@@ -199,24 +199,17 @@ def _cnot_chain_inverse(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _flip_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row k: the index map that flips qubit k's bit, and the sign that is -1
-    where that bit is 0 and +1 where it is 1, over one state of length 2^n."""
-    idx = np.arange(2 ** n)
-    flip = idx ^ (1 << (n - 1 - np.arange(n))[:, None])
-    sign = np.subtract(idx, flip, dtype=float)  # -bit or +bit, no int copy
-    np.sign(sign, out=sign)
-    flip.setflags(write=False)
-    sign.setflags(write=False)
-    return flip, sign
-
-
-@functools.lru_cache(maxsize=None)
 def _read_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_flip_table(m)``, flip_k[i] made the flat index i 2^m + flip_k[i]."""
-    flip, sign = _flip_table(m)
-    flat = flip + (np.arange(2 ** m) << m)
+    """Row k: the flat index i 2^m + flip_k[i], where flip_k flips qubit k's
+    bit, and the sign that is -1 where that bit is 0 and +1 where it is 1,
+    over one state of length 2^m."""
+    idx = np.arange(2 ** m)
+    flat = idx ^ (1 << (m - 1 - np.arange(m))[:, None])
+    sign = np.subtract(idx, flat, dtype=float)  # -bit or +bit, no int copy
+    np.sign(sign, out=sign)
+    flat += idx << m
     flat.setflags(write=False)
+    sign.setflags(write=False)
     return flat, sign
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import driver, lsbt, simulator
 from .fem import (BeamProblem, BoundaryCase, assemble, element_stiffness,
                   set_to_zero)
-from .pauli_ops import (build_structured, decompose_element,
+from .pauli_ops import (Prefix, build_structured, decompose_element,
                         materialize_operator, pair_matrix, pauli_matrix)
 from .simulator import Statevector
 
@@ -49,12 +49,20 @@ def check_element_decomposition() -> dict:
 
 
 def check_structured_vs_dense(flip_k2_sign: bool = False) -> dict:
+    """The structured operator against the dense K_mod. ``flip_k2_sign`` is
+    a negative control: it flips the sign of the wraparound correction's
+    terms, so the check must fail."""
     worst = 0.0
     for case in BoundaryCase:
         for n in range(2, 6):
             prob = _problem(case, n)
             K_mod, K_bc = set_to_zero(assemble(prob), prob.bc())
-            op = build_structured(prob, K_bc, flip_k2_sign=flip_k2_sign)
+            op = build_structured(prob, K_bc)
+            if flip_k2_sign:
+                op = dataclasses.replace(op, terms=tuple(
+                    dataclasses.replace(t, sign=-t.sign)
+                    if t.prefix is Prefix.ZERO_PROJECTOR else t
+                    for t in op.terms))
             dense = materialize_operator(op)
             worst = max(worst, float(np.max(np.abs(dense - K_mod))))
     return {"name": "structured_vs_dense", "passed": worst <= 1e-10,

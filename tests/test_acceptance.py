@@ -191,16 +191,17 @@ def _richardson_gradient(theta, ctx, h=1e-4):
                     - evaluate_loss_dense(theta - e, ctx).loss) / (2 * step)
         return g
 
-    g_h = central(h)
-    g_h2 = central(h / 2)
-    return (4.0 * g_h2 - g_h) / 3.0
+    g_h, g_h2, g_h4 = (central(h / 2 ** k) for k in range(3))
+    r_h = (4.0 * g_h2 - g_h) / 3.0  # O(h^4) truncation error
+    r_h2 = (4.0 * g_h4 - g_h2) / 3.0
+    return (16.0 * r_h2 - r_h) / 15.0  # O(h^6)
 
 
 class TestCriterion9Determinism:
     def test_byte_identical_results(self, tmp_path):
         import json
 
-        from vqpde.cli import run_case
+        from vqpde.cli import parse_config, run_case
 
         cfg = {
             "problem": {"length": 10.0, "youngs_modulus": 1000.0,
@@ -209,8 +210,8 @@ class TestCriterion9Determinism:
             "ansatz": {"reps": 3},
             "optimizer": {"seed": 3, "restarts": 2, "max_iter": 150},
         }
-        run_case(dict(cfg), output_dir=str(tmp_path / "a"))
-        run_case(dict(cfg), output_dir=str(tmp_path / "b"))
+        for name in "ab":
+            run_case(parse_config(cfg | {"output_dir": str(tmp_path / name)}))
         a = json.loads((tmp_path / "a" / "result.json").read_text())
         b = json.loads((tmp_path / "b" / "result.json").read_text())
         a.pop("wall_time_seconds")

@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vqpde
 from vqpde import cli, driver
-from vqpde.cli import (ConfigError, load_config, main, options_from_config,
-                       problem_from_config, run_case, run_sweep)
+from vqpde.cli import (ConfigError, load_config, main, parse_config, run_case,
+                       run_sweep)
 from vqpde.fem import BoundaryCase
 
 
@@ -42,8 +47,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 class TestConfigLoading:
     def test_valid_config(self, tmp_path):
         path = write_config(tmp_path, small_config(tmp_path))
-        config = load_config(path)
-        problem = problem_from_config(config)
+        problem = load_config(path).problem
         assert problem.num_qubits == 3
         assert problem.boundary_case is BoundaryCase.CANTILEVER
 
@@ -70,7 +74,7 @@ class TestConfigLoading:
 
     def test_bad_boundary_case(self):
         with pytest.raises(ConfigError):
-            problem_from_config({"problem": {"boundary_case": "clamped"}})
+            parse_config({"problem": {"boundary_case": "clamped"}})
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -83,20 +87,22 @@ class TestConfigLoading:
             load_config("/nonexistent/config.json")
 
     def test_options_passthrough(self):
-        opts = options_from_config({"optimizer": {"seed": 9, "restarts": 4}})
+        opts = parse_config({"optimizer": {"seed": 9, "restarts": 4}}).opts
         assert opts.seed == 9 and opts.restarts == 4
 
     def test_defaults_applied(self):
-        problem = problem_from_config({})
-        assert problem.num_qubits == 5
-        assert problem.length == 10.0
+        run = parse_config({})
+        assert run.problem.num_qubits == 5
+        assert run.problem.length == 10.0
+        assert run.problem.boundary_case is BoundaryCase.CANTILEVER
+        assert run.reps == 5 and run.output_dir == "."
 
 
 @pytest.fixture(scope="module")
 def result_and_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("run")
     cfg = small_config(tmp_path)
-    return run_case(cfg), tmp_path / "out"
+    return run_case(parse_config(cfg)), tmp_path / "out"
 
 
 class TestRunCase:
@@ -132,9 +138,8 @@ class TestRunCase:
         assert result["metrics"]["relative_error"] <= 0.05
 
     def test_rerun_is_deterministic(self, tmp_path):
-        cfg = small_config(tmp_path)
-        a = run_case(cfg, output_dir=str(tmp_path / "a"))
-        b = run_case(cfg, output_dir=str(tmp_path / "b"))
+        a, b = (run_case(parse_config(small_config(
+            tmp_path, output_dir=str(tmp_path / name)))) for name in "ab")
         assert a["predicted_energy"] == b["predicted_energy"]
         assert a["convergence"]["theta_final"] == b["convergence"]["theta_final"]
         assert a["metrics"] == b["metrics"]
@@ -340,13 +345,15 @@ class TestMain:
     def test_parameter_limit_is_inclusive(self, tmp_path):
         cfg = small_config(tmp_path, problem={"num_qubits": 4},
                            ansatz={"reps": cli.MAX_PARAMS // 4 - 1})
-        assert load_config(write_config(tmp_path, cfg)) == cfg
+        run = load_config(write_config(tmp_path, cfg))
+        assert run.problem.num_qubits == 4
+        assert run.reps == cli.MAX_PARAMS // 4 - 1
 
     def test_sweep_rejects_too_many_parameters(self, tmp_path, capsys,
                                                monkeypatch):
         """The limit holds for every swept qubit count, not only the
         config's."""
-        monkeypatch.setattr(cli, "_sweep_worker", None)
+        monkeypatch.setattr(cli, "run_case", None)
         cfg = small_config(tmp_path, ansatz={"reps": 1000})  # 3 * 1001 fits
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path, "--qubits", "3,5"]) == 2
@@ -356,7 +363,7 @@ class TestMain:
     @pytest.mark.parametrize("qubits", ["3,21", "3,60"])
     def test_sweep_rejects_too_many_qubits(self, tmp_path, capsys,
                                            monkeypatch, qubits):
-        monkeypatch.setattr(cli, "_sweep_worker", None)
+        monkeypatch.setattr(cli, "run_case", None)
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", path, "--qubits", qubits]) == 2
         err = capsys.readouterr().err
@@ -400,13 +407,30 @@ class TestMain:
                                              monkeypatch, threads):
         """A count below 1 is a config error, not a serial sweep."""
         pools = _fake_pool(monkeypatch)
-        monkeypatch.setattr(cli, "_sweep_worker", None)
+        monkeypatch.setattr(cli, "run_case", None)
         monkeypatch.setenv("VQPDE_THREADS", threads)
         path = write_config(tmp_path, small_config(tmp_path))
         assert main(["sweep", "--config", path, "--qubits", "3,4"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "VQPDE_THREADS" in err
         assert pools == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides,qubits,message", [
+        ({"problem": {"youngs_modulus": -1}}, "3,4", "youngs_modulus"),
+        ({"optimizer": {"restarts": 0}}, "3,4", "restarts"),
+        # Finite at n = 3, but 12EI/l^3 overflows at n = 9.
+        ({"problem": {"length": 1e-100}}, "3,9", "element stiffness"),
+    ])
+    def test_sweep_bad_value_exit_two(self, tmp_path, capsys, monkeypatch,
+                                      overrides, qubits, message):
+        """The whole config, at every qubit count, is checked before any
+        directory is made."""
+        monkeypatch.setattr(cli, "run_case", None)
+        path = write_config(tmp_path, small_config(tmp_path, **overrides))
+        assert main(["sweep", "--config", path, "--qubits", qubits]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_uncreatable_output_dir_exit_two(self, tmp_path, capsys,
                                              monkeypatch):
@@ -458,6 +482,18 @@ class TestMain:
         assert "FAIL" in capsys.readouterr().out
 
 
+    def test_python_dash_m(self, tmp_path):
+        """``python -m vqpde`` runs the command line without an install."""
+        src = str(Path(vqpde.__file__).resolve().parent.parent)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqpde", "run", "--config",
+             str(tmp_path / "missing.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: cannot read config")
+
 def _fake_pool(monkeypatch):
     """Replace the sweep's process pool by a serial one; returns the list of
     ``max_workers`` it was asked for."""
@@ -485,16 +521,31 @@ class TestSweep:
         pools = _fake_pool(monkeypatch)
         monkeypatch.setenv("VQPDE_THREADS", "64")
         cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 2})
-        results = run_sweep(cfg, [3, 4])
+        results = run_sweep(parse_config(cfg), [3, 4])
         assert pools == [2]
         assert [r["config"]["problem"]["num_qubits"] for r in results] == [3, 4]
 
     def test_sweep_runs_each_size(self, tmp_path):
         cfg = small_config(tmp_path, optimizer={"restarts": 1, "max_iter": 40})
-        results = run_sweep(cfg, [3, 4])
+        results = run_sweep(parse_config(cfg), [3, 4])
         assert len(results) == 2
         assert (tmp_path / "out" / "n3" / "result.json").exists()
         assert (tmp_path / "out" / "n4" / "result.json").exists()
         assert [r["config"]["problem"]["num_qubits"] for r in results] == [3, 4]
         # Term count does not grow with the register.
         assert results[0]["structured_terms"] == results[1]["structured_terms"]
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        """Two real worker processes write both results, each bit for bit
+        the serial sweep's."""
+        thetas = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VQPDE_THREADS", threads)
+            cfg = small_config(tmp_path, optimizer={"restarts": 1,
+                                                    "max_iter": 2},
+                               output_dir=str(tmp_path / threads))
+            run_sweep(parse_config(cfg), [3, 4])
+            thetas[threads] = [json.loads(
+                (tmp_path / threads / f"n{n}" / "result.json").read_text()
+            )["convergence"]["theta_final"] for n in (3, 4)]
+        assert thetas["2"] == thetas["1"]

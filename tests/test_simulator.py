@@ -12,7 +12,7 @@ from vqpde.simulator import (ArityError, Gate, Statevector, ansatz_gates,
                              layer_factors, mcx, overlap_term, prepare_ansatz,
                              ry, shift_by_two, shift_circuit,
                              superposition_state, x)
-from vqpde.simulator import _cnot_chain_inverse, _flip_table
+from vqpde.simulator import _cnot_chain_inverse
 
 U = np.finfo(float).eps / 2  # unit roundoff of float64
 
@@ -175,6 +175,14 @@ class TestAnsatz:
             assert np.linalg.norm(state - gate) <= bound
 
 
+def flip_rows(m):
+    """Row k: each index of a 2^m state with qubit k's bit flipped (qubit 0
+    the most significant), and the sign of index - flip."""
+    idx = np.arange(2 ** m)
+    flip = idx ^ (1 << (m - 1 - np.arange(m)))[:, None]
+    return flip, np.sign(idx - flip).astype(float)
+
+
 def per_layer_vjp(theta, n, reps, phi, lam):
     """``ansatz_vjp`` with each layer's reads gathered, signed and summed
     inside the sweep: the rounding the batched reads must keep bit for bit,
@@ -182,8 +190,8 @@ def per_layer_vjp(theta, n, reps, phi, lam):
     a, b = layer_factors(theta, n, reps)
     h = n // 2
     rows, cols = 2 ** h, 2 ** (n - h)
-    row_flip, row_sign = _flip_table(h)
-    col_flip, col_sign = _flip_table(n - h)
+    row_flip, row_sign = flip_rows(h)
+    col_flip, col_sign = flip_rows(n - h)
     row_idx, col_idx = np.arange(rows), np.arange(cols)
     unchain = _cnot_chain_inverse(n)
     pair = np.concatenate([phi, lam]).reshape(2, rows, cols)
