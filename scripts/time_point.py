@@ -8,10 +8,12 @@ For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
   factors        the per-layer Kronecker factors both halves run on, one
                  ``simulator.layer_factors`` call, timed the same way;
   states         its forward half, one ``simulator.ansatz_states`` call on
-                 those factors (state preparation), timed the same way;
+                 those factors (state preparation, which keeps the state
+                 after every layer), timed the same way;
   vjp            its reverse half, one ``simulator.ansatz_vjp`` call on
-                 those factors (the gradient's reverse sweep), timed the
-                 same way;
+                 those factors and states (the gradient's reverse sweep of
+                 the adjoint alone, then every layer's reads in two batched
+                 matmuls), timed the same way;
   build_context  one ``build_context`` call, the min of 5 calls;
   bfgs it        the BFGS overhead per iteration: the wall time of one
                  30-iteration descent (one restart, grad_tol 0), less the
@@ -99,7 +101,7 @@ def main() -> int:
                                BLOCKS)
         states = best_mean_ms(lambda: ansatz_states(b.factors), calls,
                               BLOCKS)
-        vjp = best_mean_ms(lambda: ansatz_vjp(b.factors, b.state, lam),
+        vjp = best_mean_ms(lambda: ansatz_vjp(b.factors, b.states, lam),
                            calls, BLOCKS)
         build = best_mean_ms(lambda: build_context(problem, reps=REPS), 1,
                              BLOCKS)

@@ -40,32 +40,35 @@ class ConfigError(ValueError):
     pass
 
 
-MAX_QUBITS = 20  # an 8 MiB state; MAX_FACTOR_BYTES bounds reps there
+MAX_QUBITS = 20  # an 8 MiB state; MAX_GRADIENT_BYTES bounds reps there
 # BFGS keeps a dense P x P float64 inverse Hessian and two update
 # temporaries, with P = num_qubits * (reps + 1): 128 MiB each at P = 4096.
 MAX_PARAMS = 4096
-# The engine holds a 2^h x 2^h and a 2^(n-h) x 2^(n-h) float64 Kronecker
-# factor per RY layer, h = n // 2 (``simulator.layer_factors``): 16 MiB a
-# layer at n = 20, so at most 64 layers there.
-MAX_FACTOR_BYTES = 2 ** 30
+# One gradient call holds, per RY layer and in float64, with h = n // 2:
+# the 2^h x 2^h and 2^(n-h) x 2^(n-h) Kronecker factors
+# (``simulator.layer_factors``), the forward's state and the sweep's
+# adjoint (2^n each), and the reads mu psi^T and mu^T psi, as large as the
+# factors. That is 48 MiB a layer at n = 20, so at most 21 layers there.
+MAX_GRADIENT_BYTES = 2 ** 30
 
 
 def _check_size(n: int, reps: int) -> None:
     """ConfigError unless 3 <= n <= MAX_QUBITS, the ansatz has at most
-    MAX_PARAMS angles and its layer factors fit in MAX_FACTOR_BYTES, before
-    anything is allocated."""
+    MAX_PARAMS angles and one gradient call fits in MAX_GRADIENT_BYTES,
+    before anything is allocated."""
     if not 3 <= n <= MAX_QUBITS:
         raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
                           f"got {n}")
     if n * (reps + 1) > MAX_PARAMS:
         raise ConfigError(f"num_qubits * (reps + 1) must be at most "
                           f"{MAX_PARAMS}, got {n} * ({reps} + 1)")
-    factor_bytes = (reps + 1) * (4 ** (n // 2) + 4 ** (n - n // 2)) * 8
-    if factor_bytes > MAX_FACTOR_BYTES:
+    size = (reps + 1) * (2 * (4 ** (n // 2) + 4 ** (n - n // 2))
+                         + 2 * 2 ** n) * 8
+    if size > MAX_GRADIENT_BYTES:
         raise ConfigError(
-            f"the ansatz's layer factors at num_qubits {n} and reps {reps} "
-            f"need {factor_bytes / 2 ** 20:.0f} MiB, more than "
-            f"{MAX_FACTOR_BYTES // 2 ** 20} MiB")
+            f"the gradient's layer factors, states and reads at num_qubits "
+            f"{n} and reps {reps} need {size / 2 ** 20:.0f} MiB, more than "
+            f"{MAX_GRADIENT_BYTES // 2 ** 20} MiB")
 
 
 # Each section's keys. The problem defaults, in this order, are also the

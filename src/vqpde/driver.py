@@ -15,16 +15,16 @@ The loss and the final state come from one real float64 engine:
 (``simulator.layer_factors``), runs the forward state through them
 (``simulator.ansatz_states``) and reads it against the one sparse ``K_mod``.
 ``gradient`` returns that read together with the exact gradient of L, one
-reverse sweep from the same state through the same factors that undoes one
-RY layer per step (``simulator.ansatz_vjp``), so each BFGS point builds its
-factors and prepares its trial state once; the records and the end point's
-breakdown reuse the reads of the points BFGS accepted. The forward rounds
-differently from the gate path (by at most 3.6e-16 over n = 2...14), so the
-descents differ from a gate-path forward's in their last bits; under the
-noise harness ``scripts/gradient_noise_spread.py --runs 6`` the cantilever's
-best-of-5 error spreads over the same range either way. The paper's
-measurement recipe for quad, the structured Pauli terms plus one LSBT pair
-observable per removed coupling, and the ancilla overlap circuit are the
+reverse sweep of the adjoint through the same factors, read against the
+forward's own per-layer states (``simulator.ansatz_vjp``), so each BFGS
+point builds its factors and prepares its trial state once; the records and
+the end point's breakdown reuse the reads of the points BFGS accepted. The
+forward rounds differently from the gate path (by at most 3.6e-16 over
+n = 2...14), so the descents differ from a gate-path forward's in their last
+bits; under the noise harness ``scripts/gradient_noise_spread.py --runs 6``
+the cantilever's best-of-5 error spreads over the same range either way. The
+paper's measurement recipe for quad, the structured Pauli terms plus one LSBT
+pair observable per removed coupling, and the ancilla overlap circuit are the
 gate-level oracles for those reads, checked against ``K_mod`` by
 ``verify.py`` and the tests.
 
@@ -85,8 +85,10 @@ class LossBreakdown:
     loss: float
     state: np.ndarray = field(compare=False)  # unit phi; not in == or hash
     k_phi: np.ndarray | None = field(default=None, compare=False)  # K_mod phi
-    # simulator.layer_factors at the read's theta, for the reverse sweep
+    # simulator.layer_factors at the read's theta and the state after each
+    # layer (phi the last), for the reverse sweep
     factors: tuple | None = field(default=None, compare=False)
+    states: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -170,21 +172,23 @@ def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
 
     Reads the real engine's unit state phi against the sparse K_mod, quad as
     <phi|K_mod|phi> and the overlap as <f|phi>. The breakdown carries the
-    layer factors phi was built from, so the gradient's reverse sweep reuses
-    them. The structured terms and the LSBT pairs measure the same quad on
-    hardware; they are the oracle here.
+    layer factors phi was built from and the state after each layer, so the
+    gradient's reverse sweep reuses them. The structured terms and the LSBT
+    pairs measure the same quad on hardware; they are the oracle here.
 
     phi is a unit vector, so quad / ||K_mod phi|| does not depend on the
     beam's stiffness scale EI; a state where it falls to 1e-12 or below sits
     in the near-null space and raises.
     """
     factors = simulator.layer_factors(theta, ctx.n_qubits, ctx.reps)
-    phi = simulator.ansatz_states(factors)
+    states = simulator.ansatz_states(factors)
+    phi = states[-1]
     k_phi = ctx.K_mod @ phi
     quad = np.einsum("i,i->", phi, k_phi)
-    if quad <= 1e-12 * np.linalg.norm(k_phi):
+    if quad <= 1e-12 * np.sqrt(k_phi.dot(k_phi)):  # ||K_mod phi||
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi, factors)
+    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi, factors,
+                      states)
 
 
 def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
@@ -194,14 +198,14 @@ def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown
 
 
 def _breakdown(quad: float, overlap: float, phi: np.ndarray,
-               k_phi: np.ndarray | None = None,
-               factors: tuple | None = None) -> LossBreakdown:
+               k_phi: np.ndarray | None = None, factors: tuple | None = None,
+               states: np.ndarray | None = None) -> LossBreakdown:
     if quad <= 0.0:  # the dense path's guard; the engine's is in evaluate_loss
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
     return LossBreakdown(quad=float(quad), overlap=float(overlap),
                          c_star=float(overlap / quad),
                          loss=float(-overlap ** 2 / (2.0 * quad)), state=phi,
-                         k_phi=k_phi, factors=factors)
+                         k_phi=k_phi, factors=factors, states=states)
 
 
 def gradient(theta: np.ndarray, ctx: ProblemContext
@@ -210,14 +214,15 @@ def gradient(theta: np.ndarray, ctx: ProblemContext
 
     The loss is one ``evaluate_loss`` read. With lam = dL/dphi =
     (o/q)((o/q) K_mod phi - f), the gradient is lam . dphi/dtheta, which
-    ``simulator.ansatz_vjp`` reads by walking the ansatz backwards from phi.
-    K_mod phi and the layer factors are the read's own ``k_phi`` and
-    ``factors``.
+    ``simulator.ansatz_vjp`` reads by walking lam backwards through the
+    ansatz against the forward's per-layer states. K_mod phi, the layer
+    factors and those states are the read's own ``k_phi``, ``factors`` and
+    ``states``.
     """
     b = evaluate_loss(theta, ctx)
     c = b.c_star
     lam = c * (c * b.k_phi - ctx.load.vector)
-    return b, simulator.ansatz_vjp(b.factors, b.state, lam)
+    return b, simulator.ansatz_vjp(b.factors, b.states, lam)
 
 
 def extract_profile(ctx: ProblemContext,
@@ -251,24 +256,31 @@ def _bfgs(fun, x0, args=(), callback=None, *, gtol=1e-5, maxiter=None,
     ``fun(x, *args)`` returns (f, grad f, read). The callback and the result
     get the read and max |grad f| (grad_norm) of each accepted point. One
     cache of the last point evaluated stands in for scipy's ScalarFunction
-    and MemoizeJac, so phi and derphi share one call per trial point. jac,
-    hess, hessp, bounds and constraints, which minimize passes, are unused.
+    and MemoizeJac, so phi and derphi share one call per trial point, and
+    the accepted point reuses the search's last one. jac, hess, hessp,
+    bounds and constraints, which minimize passes, are unused.
     """
     last = None  # (x, f, grad f, read) of the last point evaluated
+    step = None  # its step s along pk, when it is xk + s pk
     nfev = 0
 
-    def point(x):
-        nonlocal last, nfev
+    def point(x, s=None):
+        nonlocal last, step, nfev
         if last is None or not (x == last[0]).all():
             nfev += 1
             last = (x, *fun(x, *args))
+        step = s
         return last
 
+    def trial(s):
+        """The point xk + s pk: the last one again when s is its step."""
+        return last if s == step else point(xk + s * pk, s)
+
     def phi(s):
-        return point(xk + s * pk)[1]
+        return trial(s)[1]
 
     def derphi(s):
-        return np.dot(point(xk + s * pk)[2], pk)
+        return np.dot(trial(s)[2], pk)
 
     xk = np.asarray(x0, dtype=float).flatten()
     if maxiter is None:
@@ -281,6 +293,7 @@ def _bfgs(fun, x0, args=(), callback=None, *, gtol=1e-5, maxiter=None,
     gnorm = np.abs(gfk).max()
     while gnorm > gtol and k < maxiter:
         pk = -np.dot(Hk, gfk)
+        step = None  # a new pk: no earlier point is a trial point on it
         alpha_k, fval, _ = scalar_search_wolfe1(
             phi, derphi, old_fval, old_old_fval, np.dot(gfk, pk), c1=c1,
             c2=c2, amax=1e100, amin=1e-100, xtol=1e-14)
@@ -294,9 +307,9 @@ def _bfgs(fun, x0, args=(), callback=None, *, gtol=1e-5, maxiter=None,
                 status = 2
                 break
         old_old_fval, old_fval = old_fval, fval
+        _, _, gfkp1, read = trial(alpha_k)  # the search's last point
         sk = alpha_k * pk
         xk = xk + sk
-        _, _, gfkp1, read = point(xk)  # the search's last point: no new call
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
@@ -314,9 +327,10 @@ def _bfgs(fun, x0, args=(), callback=None, *, gtol=1e-5, maxiter=None,
         rhok_inv = np.dot(yk, sk)
         rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
         A1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
-        A2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
-        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] *
-                                           sk[np.newaxis, :])
+        # scipy's A2 = eye - y s^T rhok: each y_i s_j is s_j y_i bit for bit,
+        # so A2 is A1's transpose (copied, so the matmul rounds as scipy's).
+        A2 = A1.T.copy()
+        Hk = np.dot(A1, np.dot(Hk, A2)) + np.multiply.outer(rhok * sk, sk)
 
     if status != 2:
         if k >= maxiter:

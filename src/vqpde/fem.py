@@ -66,6 +66,14 @@ class BcSpec:
         object.__setattr__(self, "constrained_dofs", dofs)
 
 
+# The range of each element stiffness entry k. The solve normalizes loads
+# and states, so K_mod phi scales as k and the reference solution as 1/k,
+# times at most cond(K) (1e11 at n = 10, about 16x more per qubit). Within
+# this range ||K_mod phi||^2, a sum of N <= 2^20 squares, and the fidelity's
+# fourth powers of the solution stay inside float64.
+STIFFNESS_RANGE = (1e-50, 1e50)
+
+
 @dataclass(frozen=True)
 class BeamProblem:
     """The whole description of a beam: geometry, stiffness, size, raw
@@ -89,9 +97,11 @@ class BeamProblem:
                             f"got {self.boundary_case!r}")
         k = _element_entries(self.youngs_modulus, self.second_moment,
                              self.element_length)
-        if not all(0.0 < v < math.inf for v in k):
-            raise ValueError("element stiffness 12EI/l^3 .. 2EI/l is not "
-                             f"finite and positive: {k[0]:.3g} .. {k[3]:.3g}")
+        low, high = STIFFNESS_RANGE
+        if not all(low <= v <= high for v in k):
+            raise ValueError(f"element stiffness 12EI/l^3 .. 2EI/l must lie "
+                             f"in [{low:g}, {high:g}], got {k[0]:.3g} .. "
+                             f"{k[3]:.3g}")
         if not isinstance(self.supports, (BcSpec, type(None))):
             raise TypeError(f"supports must be a BcSpec, got {self.supports!r}")
         if self.load is not None:

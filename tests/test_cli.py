@@ -286,6 +286,11 @@ class TestMain:
         {"length": 1e-300},  # 12EI/l^3 overflows
         {"num_qubits": 21},
         {"num_qubits": 60},
+        # 12EI/l^3 is finite, but ||K_mod phi||^2 overflowed in the solve.
+        {"length": 1e-100},
+        # Finite and positive, but the fidelity's fourth powers of the
+        # reference solution underflowed to 0 / 0.
+        {"length": 1e100},
     ])
     def test_extreme_sizes_exit_two(self, tmp_path, capsys, monkeypatch,
                                     problem):
@@ -325,17 +330,20 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n,reps,fits", [
-        (20, 63, True), (20, 64, False), (20, 203, False),
-        (19, 101, True), (19, 102, False), (18, 226, True),
+        (20, 20, True), (20, 21, False), (20, 64, False), (20, 203, False),
+        (19, 35, True), (19, 36, False), (19, 102, False), (18, 84, True),
+        (18, 85, False),
     ])
     def test_layer_factor_limit(self, n, reps, fits):
-        """(reps + 1) (4^h + 4^(n-h)) 8 bytes of layer factors, h = n // 2,
-        must fit in MAX_FACTOR_BYTES: 16 MiB a layer at n = 20, 10 MiB at
+        """One gradient call's (reps + 1) (2 (4^h + 4^(n-h)) + 2 2^n) 8
+        bytes, h = n // 2, must fit in MAX_GRADIENT_BYTES: per layer the
+        Kronecker factors, the forward state and the adjoint, and the reads
+        (as large as the factors). 48 MiB a layer at n = 20, 28 MiB at
         n = 19. Only the check runs; nothing of that size is allocated."""
         h = n // 2
-        size = (reps + 1) * (4 ** h + 4 ** (n - h)) * 8
+        size = (reps + 1) * (2 * (4 ** h + 4 ** (n - h)) + 2 * 2 ** n) * 8
         assert n * (reps + 1) <= cli.MAX_PARAMS
-        assert (size <= cli.MAX_FACTOR_BYTES) == fits
+        assert (size <= cli.MAX_GRADIENT_BYTES) == fits
         if fits:
             cli._check_size(n, reps)
         else:
@@ -348,6 +356,17 @@ class TestMain:
         run = load_config(write_config(tmp_path, cfg))
         assert run.problem.num_qubits == 4
         assert run.reps == cli.MAX_PARAMS // 4 - 1
+
+    def test_gradient_limit_is_inclusive(self, tmp_path):
+        """reps 20 is the deepest ansatz accepted at n = 20: its gradient
+        holds 21 x 48 = 1008 MiB, and one more layer would exceed 1 GiB."""
+        cfg = small_config(tmp_path, problem={"num_qubits": 20},
+                           ansatz={"reps": 20})
+        run = load_config(write_config(tmp_path, cfg))
+        assert (run.problem.num_qubits, run.reps) == (20, 20)
+        cfg["ansatz"]["reps"] = 21
+        with pytest.raises(ConfigError, match="1056 MiB"):
+            load_config(write_config(tmp_path, cfg))
 
     def test_sweep_rejects_too_many_parameters(self, tmp_path, capsys,
                                                monkeypatch):
@@ -418,8 +437,8 @@ class TestMain:
     @pytest.mark.parametrize("overrides,qubits,message", [
         ({"problem": {"youngs_modulus": -1}}, "3,4", "youngs_modulus"),
         ({"optimizer": {"restarts": 0}}, "3,4", "restarts"),
-        # Finite at n = 3, but 12EI/l^3 overflows at n = 9.
-        ({"problem": {"length": 1e-100}}, "3,9", "element stiffness"),
+        # In range at n = 3 (12EI/l^3 = 3e47), above 1e50 at n = 9.
+        ({"problem": {"length": 1e-14}}, "3,9", "element stiffness"),
     ])
     def test_sweep_bad_value_exit_two(self, tmp_path, capsys, monkeypatch,
                                       overrides, qubits, message):

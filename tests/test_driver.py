@@ -152,9 +152,10 @@ class TestLoss:
         np.testing.assert_allclose(grad_b * 1e-14, grad_a * 1000.0, rtol=1e-12)
 
     def test_gradient_is_one_forward_state(self, monkeypatch):
-        """One engine call for one state and no gate: the reverse sweep does
-        the rest, with no batch of shifted rows. The breakdown it returns is
-        the ``evaluate_loss`` read at the same point."""
+        """One engine call, one state per layer and no gate: the reverse
+        sweep does the rest, with no batch of shifted rows. The breakdown it
+        returns is the ``evaluate_loss`` read at the same point, and its
+        state is the last layer's."""
         rows = []
         ansatz_states = simulator.ansatz_states
 
@@ -171,12 +172,13 @@ class TestLoss:
         monkeypatch.setattr(simulator, "ansatz_states", counted)
         monkeypatch.setattr(simulator, "apply_gate", forbidden)
         breakdown, _ = gradient(theta, ctx)
-        assert rows == [(2 ** ctx.n_qubits,)]
+        assert rows == [(ctx.reps + 1, 2 ** ctx.n_qubits)]
+        assert np.array_equal(breakdown.state, breakdown.states[-1])
         expected = evaluate_loss(theta, ctx)
         for field in dataclasses.fields(expected):
             a = getattr(breakdown, field.name)
             b = getattr(expected, field.name)
-            if isinstance(a, np.ndarray):  # state and k_phi
+            if isinstance(a, np.ndarray):  # state, k_phi and states
                 assert np.array_equal(a, b)
             elif isinstance(a, tuple):  # the layer factors
                 assert len(a) == len(b) == 2
@@ -279,14 +281,16 @@ class TestLoss:
                             counted("gradient", driver.gradient))
         monkeypatch.setattr(simulator, "ansatz_states",
                             counted("states", simulator.ansatz_states))
-        # 20 iterations end both restarts at their last evaluation; within
-        # 2000 both end on a failed line search.
+        # grad_tol 0 leaves two ways out: max_iter, which ends both restarts
+        # at their last evaluation after 20 iterations, and a failed line
+        # search, which ends both within 2000 once float64 stops the descent.
         for max_iter, ends in ((20, [1, 1]), (2000, [2, 2])):
             calls.update(dict.fromkeys(calls, 0))
             moved_back.clear()
             record, _, _ = optimize(
                 make_problem(),
-                OptimizerOptions(seed=1, restarts=2, max_iter=max_iter),
+                OptimizerOptions(seed=1, restarts=2, max_iter=max_iter,
+                                 grad_tol=0.0),
                 reps=2)
             assert [e["status"] for e in record.restarts] == ends
             assert moved_back == [status == 2 for status in ends]
@@ -485,9 +489,11 @@ class TestOptimize:
         assert run["nit"] == 0 and history == grad_history == []
         assert run["grad_norm"] == np.max(np.abs(g / b.loss))
         assert np.array_equal(x, theta0) and end == b
+        # grad_tol 0: only max_iter or a failed line search ends the descent.
         for max_iter, status in ((20, 1), (2000, 2)):
             run, (x, end, history, grad_history) = driver._descend(
-                theta0, ctx3, OptimizerOptions(max_iter=max_iter))
+                theta0, ctx3, OptimizerOptions(max_iter=max_iter,
+                                               grad_tol=0.0))
             assert run["status"] == status and run["nit"] >= 1
             assert run["grad_norm"] == grad_history[-1]
             assert run["loss"] == end.loss == history[-1]
@@ -583,18 +589,10 @@ class TestBfgs:
         x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 6)
         assert _same_as_scipy(rosen, x0, **options).status == status
 
-    @pytest.mark.parametrize("case,n,reps,seed,max_iter,status", [
-        (BoundaryCase.CANTILEVER, 3, 1, 2, 3000, 0),
-        (BoundaryCase.CANTILEVER, 3, 2, 2, 3000, 2),
-        (BoundaryCase.CANTILEVER, 4, 1, 3, 100, 1),
-        (BoundaryCase.FFB, 4, 2, 2, 3000, 2),
-        (BoundaryCase.FFB, 3, 2, 0, 10, 1),
-    ])
-    def test_beam_objective(self, monkeypatch, case, n, reps, seed, max_iter,
-                            status):
-        """Each start runs through the wolfe2 fallback at least once except
-        the short status-1 runs; the status-0 start goes on after a
-        fallback that succeeded. ``_descend`` takes the same path."""
+    @staticmethod
+    def _count_fallbacks(monkeypatch) -> list[bool]:
+        """One entry per wolfe2 fallback ``_bfgs`` runs: did it find a step.
+        scipy's own BFGS calls its line searches directly, uncounted."""
         fallbacks = []
         line_search = scipy.optimize.line_search
 
@@ -604,15 +602,50 @@ class TestBfgs:
             return ret
 
         monkeypatch.setattr(scipy.optimize, "line_search", counted)
+        return fallbacks
+
+    @pytest.mark.parametrize("objective,x0,options,status,fallbacks", [
+        # x^102 / 102 from 10: the gradient 1e101 puts Moré-Thuente's first
+        # step 1.01 / |g| under its amin 1e-100, so it fails; wolfe2's step
+        # of that length moves x by 1.01 and meets the Wolfe conditions, and
+        # the descent goes on to |x^101| <= gtol.
+        ("power", [10.0], {"gtol": 1e-8, "maxiter": 2000}, 0, [True]),
+        ("power", [10.0], {"gtol": 1e-8, "maxiter": 1}, 1, [True]),
+        # 0.5 |x|^2 with the gradient -x: every step the gradient calls
+        # downhill goes uphill, so both line searches fail at once.
+        ("uphill", [1.0, -2.0, 0.5], {"gtol": 1e-8}, 2, [False]),
+    ], ids=["fallback-then-converges", "fallback-then-max-iter",
+            "failed-fallback"])
+    def test_line_search_branch(self, monkeypatch, objective, x0, options,
+                                status, fallbacks):
+        """Each exit and both wolfe2 fallback outcomes, reached by an
+        objective built for them rather than by a chosen start."""
+        fun = {"power": lambda x: (np.sum(x ** 102) / 102, x ** 101),
+               "uphill": lambda x: (0.5 * (x @ x), -x)}[objective]
+        counted = self._count_fallbacks(monkeypatch)
+        res = _same_as_scipy(fun, np.array(x0), **options)
+        assert res.status == status and counted == fallbacks
+
+    @pytest.mark.parametrize("case,n,reps,seed,max_iter,status", [
+        (BoundaryCase.CANTILEVER, 3, 2, 2, 3000, None),
+        (BoundaryCase.CANTILEVER, 4, 1, 3, 100, 1),
+        (BoundaryCase.FFB, 3, 2, 0, 10, 1),
+    ])
+    def test_beam_objective(self, monkeypatch, case, n, reps, seed, max_iter,
+                            status):
+        """On the beam objective ``_bfgs`` is scipy's BFGS bit for bit, and
+        ``_descend`` takes the same path: the same line searches, fallbacks
+        included, iterates, nit, nfev and status. The long run ends on
+        whichever branch its start's last bits lead to (status None: not
+        asserted); the short ones stop at max_iter."""
+        fallbacks = self._count_fallbacks(monkeypatch)
         ctx = build_context(make_problem(case, n, length=10.0,
                                          youngs_modulus=1000.0), reps)
         x0 = np.random.default_rng(seed).uniform(-np.pi, np.pi,
                                                  ctx.n_params)
         res = _same_as_scipy(_beam_objective(ctx), x0, gtol=1e-8,
                              maxiter=max_iter)
-        assert res.status == status
-        if status != 1:
-            assert fallbacks and all(fallbacks) == (status == 0)
+        assert status is None or res.status == status
         searches = fallbacks[:]
         fallbacks.clear()
         run, (x, end, history, _) = driver._descend(

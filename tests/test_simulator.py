@@ -25,7 +25,7 @@ def random_state(m, seed, real=False):
 
 
 def engine_state(theta, n, reps):
-    return ansatz_states(layer_factors(theta, n, reps))
+    return ansatz_states(layer_factors(theta, n, reps))[-1]
 
 
 def gate_matrix(gate, m):
@@ -139,8 +139,9 @@ class TestAnsatz:
     @pytest.mark.parametrize("n,reps", [(1, 0), (2, 3), (5, 5), (8, 2),
                                         (10, 1), (12, 5)])
     def test_real_engine_equals_gate_path(self, n, reps):
-        """Each parameter row's state equals the gate-built state to within
-        an a-priori rounding bound, in the 2-norm (so also entry by entry).
+        """The state after each layer equals the gate-built state of that
+        prefix of the ansatz to within an a-priori rounding bound, in the
+        2-norm (so also entry by entry).
 
         Both paths apply the same L = reps + 1 orthogonal RY layers and
         exact CNOT permutations to |0...0>, so the difference is the sum of
@@ -169,10 +170,12 @@ class TestAnsatz:
                                   + 10 * np.sqrt(2) * n)
         rng = np.random.default_rng(n + reps)
         for theta in rng.uniform(-np.pi, np.pi, (4, n * (reps + 1))):
-            state = engine_state(theta, n, reps)
-            assert state.shape == (2 ** n,) and state.dtype == np.float64
-            gate = prepare_ansatz(n, reps, theta).real_vector()
-            assert np.linalg.norm(state - gate) <= bound
+            states = ansatz_states(layer_factors(theta, n, reps))
+            assert states.shape == (reps + 1, 2 ** n)
+            assert states.dtype == np.float64
+            for layer, state in enumerate(states):
+                gate = prepare_ansatz(n, layer, theta[:n * (layer + 1)])
+                assert np.linalg.norm(state - gate.real_vector()) <= bound
 
 
 def flip_rows(m):
@@ -183,10 +186,11 @@ def flip_rows(m):
     return flip, np.sign(idx - flip).astype(float)
 
 
-def per_layer_vjp(theta, n, reps, phi, lam):
-    """``ansatz_vjp`` with each layer's reads gathered, signed and summed
-    inside the sweep: the rounding the batched reads must keep bit for bit,
-    since the descent (criterion 6) is chaotic in the gradient's last bits."""
+def per_layer_vjp(theta, n, reps, states, lam):
+    """``ansatz_vjp`` with each layer's reads taken from its own products,
+    signed and summed inside the sweep: the rounding the batched reads must
+    keep bit for bit, since the descent (criterion 6) is chaotic in the
+    gradient's last bits."""
     a, b = layer_factors(theta, n, reps)
     h = n // 2
     rows, cols = 2 ** h, 2 ** (n - h)
@@ -194,16 +198,14 @@ def per_layer_vjp(theta, n, reps, phi, lam):
     col_flip, col_sign = flip_rows(n - h)
     row_idx, col_idx = np.arange(rows), np.arange(cols)
     unchain = _cnot_chain_inverse(n)
-    pair = np.concatenate([phi, lam]).reshape(2, rows, cols)
+    mu = lam.reshape(rows, cols)
     g = np.empty((reps + 1, n))
     for layer in range(reps, -1, -1):
-        psi, mu = pair
+        psi = states[layer].reshape(rows, cols)
         g[layer, :h] = (row_sign * (mu @ psi.T)[row_idx, row_flip]).sum(axis=1)
         g[layer, h:] = (col_sign * (mu.T @ psi)[col_idx, col_flip]).sum(axis=1)
         if layer:
-            pair = a[layer].T @ pair @ b[layer]
-            pair = pair.reshape(2, -1).take(unchain, axis=1).reshape(
-                2, rows, cols)
+            mu = (a[layer].T @ mu @ b[layer]).take(unchain).reshape(rows, cols)
     return 0.5 * g.ravel()
 
 
@@ -229,12 +231,13 @@ class TestAnsatzVjp:
         want = np.array([0.5 * (lam @ engine_state(row, n, reps))
                          for row in rows])
         factors = layer_factors(theta, n, reps)
-        phi = ansatz_states(factors)
-        phi0, lam0 = phi.copy(), lam.copy()
-        got = ansatz_vjp(factors, phi, lam)
-        # phi is the caller's state (LossBreakdown.state): no step of the
-        # sweep may write through to it, or to lam.
-        np.testing.assert_array_equal(phi, phi0)
+        states = ansatz_states(factors)
+        states0, lam0 = states.copy(), lam.copy()
+        got = ansatz_vjp(factors, states, lam)
+        # The states are the caller's (LossBreakdown.states, whose last row
+        # is LossBreakdown.state): no step of the sweep may write through to
+        # them, or to lam.
+        np.testing.assert_array_equal(states, states0)
         np.testing.assert_array_equal(lam, lam0)
         assert got.shape == (P,)
         # Relative to ||lam||, the bound of every |g_k| (||dphi/dtheta_k|| is
@@ -254,17 +257,17 @@ class TestAnsatzVjp:
         theta = rng.uniform(-np.pi, np.pi, n * (reps + 1))
         lam = rng.normal(size=2 ** n)
         factors = layer_factors(theta, n, reps)
-        phi = ansatz_states(factors)
+        states = ansatz_states(factors)
         np.testing.assert_array_equal(
-            ansatz_vjp(factors, phi, lam),
-            per_layer_vjp(theta, n, reps, phi, lam), strict=True)
+            ansatz_vjp(factors, states, lam),
+            per_layer_vjp(theta, n, reps, states, lam), strict=True)
 
     def test_parameter_count(self):
         """One derivative per angle of the layout the factors were built
         for; ``TestAnsatz`` checks that other lengths get no factors."""
         factors = layer_factors(np.zeros(30), 5, 5)
-        phi = ansatz_states(factors)
-        assert ansatz_vjp(factors, phi, phi).shape == (30,)
+        states = ansatz_states(factors)
+        assert ansatz_vjp(factors, states, states[-1]).shape == (30,)
 
 
 class TestShiftCircuit:
