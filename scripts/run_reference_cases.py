@@ -52,7 +52,8 @@ def main(argv=None) -> int:
         theta = np.array(conv["theta_final"], dtype=float)
         sha = hashlib.sha256(theta.tobytes()).hexdigest()[:12]
         rows.append((case, conv["iterations"], conv["function_evals"],
-                     conv["status"], m["accuracy_pct"],
+                     conv["restarts"][conv["restart_index"]]["status"],
+                     m["accuracy_pct"],
                      m["relative_error"], m["fidelity"], sha,
                      result["wall_time_seconds"]))
 

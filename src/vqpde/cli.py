@@ -49,6 +49,9 @@ MAX_PARAMS = 4096
 # (``simulator.layer_factors``), the forward's state and the sweep's
 # adjoint (2^n each), and the reads mu psi^T and mu^T psi, as large as the
 # factors. That is 48 MiB a layer at n = 20, so at most 21 layers there.
+# The bound covers one gradient call. A descent holds 2 to 2.5 times that:
+# the accepted read, the last trial read and the best restart's end each
+# keep their factors and per-layer states (measured in the README).
 MAX_GRADIENT_BYTES = 2 ** 30
 
 
@@ -179,11 +182,8 @@ def run_case(run: RunConfig) -> dict:
         "convergence": {
             "iterations": record.iterations,
             "function_evals": record.function_evals,
-            "n_q": record.n_q,
+            "n_q": ctx.circuits_per_eval,
             "restart_index": record.restart_index,
-            "status": record.status,
-            "message": record.message,
-            "restart_final_losses": record.restart_final_losses,
             "restarts": record.restarts,
             "loss_history": record.loss_history,
             "theta_final": record.theta_final.tolist(),

@@ -96,7 +96,6 @@ class ConvergenceRecord:
     loss_history: list[float]
     grad_norm_history: list[float]
     theta_final: np.ndarray
-    n_q: int
     restart_index: int
     # One record per restart: loss, nit, nfev, status, message, grad_norm and
     # error; a failed restart has its error and None in the other fields.
@@ -107,14 +106,9 @@ class ConvergenceRecord:
         """The record of the restart the results come from."""
         return self.restarts[self.restart_index]
 
+    # The chosen restart's nit and nfev, as perfbench reads them.
     iterations = property(lambda self: self.chosen["nit"])
     function_evals = property(lambda self: self.chosen["nfev"])
-    status = property(lambda self: self.chosen["status"])  # scipy BFGS status
-    message = property(lambda self: self.chosen["message"])
-
-    @property
-    def restart_final_losses(self) -> list[float | None]:
-        return [e["loss"] for e in self.restarts]
 
 
 @dataclass
@@ -422,5 +416,5 @@ def optimize(problem: BeamProblem, opts: OptimizerOptions,
     r, (x, breakdown, history, grad_history) = best
     record = ConvergenceRecord(
         loss_history=history, grad_norm_history=grad_history, theta_final=x,
-        n_q=ctx.circuits_per_eval, restart_index=r, restarts=restarts)
+        restart_index=r, restarts=restarts)
     return record, extract_profile(ctx, breakdown), breakdown

@@ -99,9 +99,6 @@ class Statevector:
     def copy(self) -> "Statevector":
         return Statevector(self.amplitudes.copy(), self.num_qubits)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def real_vector(self) -> np.ndarray:
         if np.max(np.abs(self.amplitudes.imag)) > 1e-10:
             raise ValueError("state has non-negligible imaginary amplitudes")

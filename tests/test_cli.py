@@ -114,6 +114,17 @@ class TestRunCase:
         assert on_disk["config"]["problem"]["num_qubits"] == 3
         assert on_disk["structured_terms"] == 18
 
+    def test_convergence_block_holds_each_fact_once(self, result_and_dir):
+        result, out = result_and_dir
+        convergence = json.loads((out / "result.json").read_text())[
+            "convergence"]
+        assert set(convergence) == {"iterations", "function_evals", "n_q",
+                                    "restart_index", "restarts",
+                                    "loss_history", "theta_final"}
+        chosen = convergence["restarts"][convergence["restart_index"]]
+        assert chosen["nit"] == convergence["iterations"]
+        assert chosen["nfev"] == convergence["function_evals"]
+
     def test_convergence_csv_schema(self, result_and_dir):
         result, out = result_and_dir
         with open(out / "convergence.csv") as fh:
@@ -174,9 +185,10 @@ class TestMain:
         assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
         result = _strict_loads((tmp_path / "out" / "result.json").read_text())
         convergence = result["convergence"]
+        chosen = convergence["restarts"][convergence["restart_index"]]
         assert convergence["iterations"] == 5
-        assert convergence["status"] == 1
-        assert "iterations" in convergence["message"]
+        assert chosen["status"] == 1
+        assert "iterations" in chosen["message"]
 
     def test_failed_restart_still_exits_zero(self, tmp_path, monkeypatch):
         descend, calls = driver._descend, []
@@ -194,8 +206,9 @@ class TestMain:
         convergence = result["convergence"]
         restarts = convergence["restarts"]
         assert [e["error"] for e in restarts] == [None, "degenerate start", None]
-        assert convergence["restart_final_losses"] == \
-            [e["loss"] for e in restarts]
+        assert restarts[convergence["restart_index"]]["loss"] == min(
+            e["loss"] for e in restarts if e["error"] is None) == \
+            result["predicted_energy"]
         assert restarts[1]["loss"] is None and restarts[1]["nit"] is None
         assert restarts[0]["loss"] is not None
         assert convergence["restart_index"] != 1

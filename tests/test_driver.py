@@ -420,7 +420,8 @@ class TestOptimize:
         assert rel <= 0.05
         assert isinstance(record, ConvergenceRecord)
         assert record.iterations >= 1
-        assert len(record.restart_final_losses) == 3
+        assert len(record.restarts) == 3
+        assert record.chosen["loss"] == breakdown.loss
 
     def test_deterministic_given_seed(self):
         problem = make_problem()
@@ -472,7 +473,7 @@ class TestOptimize:
                                youngs_modulus=1000.0)
         record, _, _ = optimize(problem, OptimizerOptions(
             seed=0, restarts=1, max_iter=20), reps=5)
-        assert record.iterations == 20 and record.status == 1
+        assert record.iterations == 20 and record.chosen["status"] == 1
         assert len(record.loss_history) == 20
 
     def test_restart_grad_norm_is_end_point_gradient(self, ctx3):
@@ -502,9 +503,10 @@ class TestOptimize:
             seed=0, restarts=2, max_iter=20), reps=2, ctx=ctx3)
         chosen = record.restarts[record.restart_index]
         assert chosen["grad_norm"] == record.grad_norm_history[-1]
-        assert (record.iterations, record.function_evals, record.status,
-                record.message) == (chosen["nit"], chosen["nfev"],
-                                    chosen["status"], chosen["message"])
+        assert record.chosen is chosen
+        assert (record.iterations, record.function_evals) == (chosen["nit"],
+                                                              chosen["nfev"])
+        assert chosen["message"] == driver._MESSAGES[chosen["status"]]
 
     def test_arguments_must_match_context(self):
         """reps defaults to the context's, and to 5 without one. A problem

@@ -96,7 +96,8 @@ class TestApplyGate:
             else:
                 gates.append(cnot(q, (q + 1) % 3))
         apply_circuit(state, gates)
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0,
+                                                                 abs=1e-10)
 
 
 class TestAnsatz:
