@@ -1,4 +1,5 @@
-"""Time one BFGS point and one context build per qubit count.
+"""Time one BFGS point and one context build per qubit count, and measure
+the memory a gradient call and a short run hold.
 
 For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
 10 and 12 qubits, prints in milliseconds:
@@ -19,6 +20,10 @@ For the cantilever at L = 10 m, E = 1000, I = 1 and reps = 5, at n = 5, 8,
                  30-iteration descent (one restart, grad_tol 0), less the
                  time spent inside its own ``driver.gradient`` calls,
                  divided by nit; the min of 5 descents.
+and, measured after the timings with the engine's caches warm, the
+tracemalloc peaks in MiB (numpy's buffers included) of
+  grad MiB       one ``driver.gradient`` call;
+  run MiB        one ``optimize`` of 3 restarts x 3 iterations, grad_tol 0.
 The header gives the core count and the numpy and scipy versions. BLAS runs
 on one thread, as in the benchmark. Run from the repository root:
 
@@ -31,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -54,6 +60,15 @@ def best_mean_ms(fn, calls: int, blocks: int) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / calls)
     return 1e3 * best
+
+
+def peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def bfgs_iteration_ms(problem, opts, ctx, blocks: int) -> float:
@@ -87,7 +102,7 @@ def main() -> int:
           f"scipy={scipy.__version__} case=cantilever reps={REPS}")
     print(f"{'n':>3}{'P':>5}{'point ms':>11}{'factors ms':>12}"
           f"{'states ms':>11}{'vjp ms':>9}{'build_context ms':>18}"
-          f"{'bfgs it ms':>12}")
+          f"{'bfgs it ms':>12}{'grad MiB':>10}{'run MiB':>9}")
     for n, calls in CALLS_PER_BLOCK.items():
         problem = BeamProblem(length=10.0, youngs_modulus=1000.0,
                               second_moment=1.0, num_qubits=n,
@@ -109,8 +124,13 @@ def main() -> int:
         opts = OptimizerOptions(seed=0, restarts=1, max_iter=ITERATIONS,
                                 grad_tol=0.0)
         bfgs_it = bfgs_iteration_ms(problem, opts, ctx, BLOCKS)
+        grad_mib = peak_mib(lambda: gradient(theta, ctx))
+        run_opts = OptimizerOptions(seed=0, restarts=3, max_iter=3,
+                                    grad_tol=0.0)
+        run_mib = peak_mib(lambda: optimize(problem, run_opts, ctx=ctx))
         print(f"{n:>3}{ctx.n_params:>5}{point:>11.3f}{factors:>12.3f}"
-              f"{states:>11.3f}{vjp:>9.3f}{build:>18.3f}{bfgs_it:>12.3f}")
+              f"{states:>11.3f}{vjp:>9.3f}{build:>18.3f}{bfgs_it:>12.3f}"
+              f"{grad_mib:>10.3f}{run_mib:>9.3f}")
     return 0
 
 

@@ -8,7 +8,7 @@ allocated and no directory is made for a config that fails a check.
 Subcommands:
   run    --config FILE          one case -> result.json, convergence.csv, profile.csv
   sweep  --config FILE --qubits 3,4,5   same case across qubit counts
-  verify [--deep] [--flip-k2-sign]      run the oracle suites
+  verify [--flip-k2-sign]               run the oracle suites
 
 Exit codes: 0 success, 1 optimization failure (a singular system, a
 degenerate trial state, or every restart failed), 2 config error,
@@ -34,6 +34,7 @@ from . import verify as verify_mod
 from .driver import (DegenerateStateError, OptimizerOptions,
                      OptimizationFailedError, build_context, optimize)
 from .fem import BoundaryCase, BeamProblem, SingularSystemError, check_int
+from .simulator import gradient_bytes
 
 
 class ConfigError(ValueError):
@@ -44,20 +45,12 @@ MAX_QUBITS = 20  # an 8 MiB state; MAX_GRADIENT_BYTES bounds reps there
 # BFGS keeps a dense P x P float64 inverse Hessian and two update
 # temporaries, with P = num_qubits * (reps + 1): 128 MiB each at P = 4096.
 MAX_PARAMS = 4096
-# One gradient call holds, per RY layer and in float64, with h = n // 2:
-# the 2^h x 2^h and 2^(n-h) x 2^(n-h) Kronecker factors
-# (``simulator.layer_factors``), the forward's state and the sweep's
-# adjoint (2^n each), and the reads mu psi^T and mu^T psi, as large as the
-# factors. That is 48 MiB a layer at n = 20, so at most 21 layers there.
-# The bound covers one gradient call. A descent holds 2 to 2.5 times that:
-# the accepted read, the last trial read and the best restart's end each
-# keep their factors and per-layer states (measured in the README).
-MAX_GRADIENT_BYTES = 2 ** 30
+MAX_GRADIENT_BYTES = 2 ** 30  # of simulator.gradient_bytes, a run's engine
 
 
 def _check_size(n: int, reps: int) -> None:
     """ConfigError unless 3 <= n <= MAX_QUBITS, the ansatz has at most
-    MAX_PARAMS angles and one gradient call fits in MAX_GRADIENT_BYTES,
+    MAX_PARAMS angles and the run's engine fits in MAX_GRADIENT_BYTES,
     before anything is allocated."""
     if not 3 <= n <= MAX_QUBITS:
         raise ConfigError(f"num_qubits must be between 3 and {MAX_QUBITS}, "
@@ -65,13 +58,11 @@ def _check_size(n: int, reps: int) -> None:
     if n * (reps + 1) > MAX_PARAMS:
         raise ConfigError(f"num_qubits * (reps + 1) must be at most "
                           f"{MAX_PARAMS}, got {n} * ({reps} + 1)")
-    size = (reps + 1) * (2 * (4 ** (n // 2) + 4 ** (n - n // 2))
-                         + 2 * 2 ** n) * 8
+    size = gradient_bytes(n, reps)
     if size > MAX_GRADIENT_BYTES:
-        raise ConfigError(
-            f"the gradient's layer factors, states and reads at num_qubits "
-            f"{n} and reps {reps} need {size / 2 ** 20:.0f} MiB, more than "
-            f"{MAX_GRADIENT_BYTES // 2 ** 20} MiB")
+        raise ConfigError(f"the engine's buffers at num_qubits {n} and reps "
+                          f"{reps} need {size / 2 ** 20:.0f} MiB, more than "
+                          f"{MAX_GRADIENT_BYTES // 2 ** 20} MiB")
 
 
 # Each section's keys. The problem defaults, in this order, are also the
@@ -276,8 +267,6 @@ def main(argv=None) -> int:
                          help="comma-separated qubit counts, e.g. 3,4,5")
 
     p_verify = sub.add_parser("verify", help="run the oracle suites")
-    p_verify.add_argument("--deep", action="store_true",
-                          help="extend exhaustive pair checks to n=6")
     p_verify.add_argument("--flip-k2-sign", action="store_true",
                           help="debug negative control: flip the wraparound "
                                "correction sign")
@@ -302,8 +291,7 @@ def main(argv=None) -> int:
                       f"accuracy={res['metrics']['accuracy_pct']:.4f}%")
             return 0
         # verify
-        report = verify_mod.verify_oracles(deep=args.deep,
-                                           flip_k2_sign=args.flip_k2_sign)
+        report = verify_mod.verify_oracles(flip_k2_sign=args.flip_k2_sign)
         for check in report["checks"]:
             status = "PASS" if check["passed"] else "FAIL"
             print(f"[{status}] {check['name']}: max error {check['max_error']:.3e}")

@@ -84,9 +84,9 @@ class LossBreakdown:
     c_star: float
     loss: float
     state: np.ndarray = field(compare=False)  # unit phi; not in == or hash
-    k_phi: np.ndarray | None = field(default=None, compare=False)  # K_mod phi
-    # simulator.layer_factors at the read's theta and the state after each
-    # layer (phi the last), for the reverse sweep
+    # K_mod phi, simulator.layer_factors and the state after each layer (phi
+    # the last), for gradient's reverse sweep; None in a descent's lean reads
+    k_phi: np.ndarray | None = field(default=None, compare=False)
     factors: tuple | None = field(default=None, compare=False)
     states: np.ndarray | None = field(default=None, compare=False)
 
@@ -181,8 +181,7 @@ def evaluate_loss(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
     quad = np.einsum("i,i->", phi, k_phi)
     if quad <= 1e-12 * np.sqrt(k_phi.dot(k_phi)):  # ||K_mod phi||
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi, factors,
-                      states)
+    return _breakdown(quad, ctx.load.vector @ phi, phi, k_phi, factors, states)
 
 
 def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown:
@@ -192,14 +191,12 @@ def evaluate_loss_dense(theta: np.ndarray, ctx: ProblemContext) -> LossBreakdown
 
 
 def _breakdown(quad: float, overlap: float, phi: np.ndarray,
-               k_phi: np.ndarray | None = None, factors: tuple | None = None,
-               states: np.ndarray | None = None) -> LossBreakdown:
+               *engine) -> LossBreakdown:
+    """The read at phi; ``engine`` is (k_phi, factors, states), if any."""
     if quad <= 0.0:  # the dense path's guard; the engine's is in evaluate_loss
         raise NearSingularEnergyError("<phi|K_mod|phi> is numerically zero")
-    return LossBreakdown(quad=float(quad), overlap=float(overlap),
-                         c_star=float(overlap / quad),
-                         loss=float(-overlap ** 2 / (2.0 * quad)), state=phi,
-                         k_phi=k_phi, factors=factors, states=states)
+    return LossBreakdown(float(quad), float(overlap), float(overlap / quad),
+                         float(-overlap ** 2 / (2.0 * quad)), phi, *engine)
 
 
 def gradient(theta: np.ndarray, ctx: ProblemContext
@@ -349,9 +346,10 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
     Each BFGS point is one ``gradient`` call, divided by |L|; ``grad_tol``
     bounds max |grad f| = max |grad L| / |L|. A trial state with overlap
     exactly 0 has L = 0, where f is undefined: DegenerateStateError.
-    ``_bfgs`` hands back the read of each point it accepts and of its end
-    point (the start when nit is 0). Returns the restart's record and its
-    end: x, the breakdown at x, and L and max |grad f| per iterate.
+    ``_bfgs`` hands back a lean read, the loss and its own phi, of each
+    point it accepts and of its end point (the start when nit is 0). Returns
+    the restart's record and its end: x, the breakdown at x, and L and max
+    |grad f| per iterate.
     """
     history, grad_history = [], []
 
@@ -361,7 +359,8 @@ def _descend(theta0: np.ndarray, ctx: ProblemContext,
         if not size > 0.0:
             raise DegenerateStateError(
                 "<f|phi> is zero, so -log(-L) is undefined")
-        return -np.log(size), g / size, b
+        return -np.log(size), g / size, LossBreakdown(  # a copy, not a view
+            b.quad, b.overlap, b.c_star, b.loss, b.state.copy())
 
     def callback(intermediate_result):
         history.append(intermediate_result.read.loss)

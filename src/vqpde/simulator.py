@@ -324,6 +324,19 @@ def ansatz_vjp(factors: tuple[np.ndarray, np.ndarray], states: np.ndarray,
     return g.ravel()
 
 
+def gradient_bytes(n: int, reps: int) -> int:
+    """An upper bound on the bytes the engine holds at once in a run. One
+    ``driver.gradient`` call holds, per layer in float64, the factors and
+    the reads' products C and D (as large), the state and the adjoint, and
+    the gathered reads; once, K_mod phi, lam and the 64 KiB numpy buffer the
+    reads' sign multiply fills. Between calls a run keeps the states of three
+    lean reads, the CNOT chain's two index maps and the read table."""
+    h = n // 2
+    reads = h * 2 ** h + (n - h) * 2 ** (n - h)
+    layer = 2 * (4 ** h + 4 ** (n - h)) + 2 * 2 ** n + reads
+    return 8 * ((reps + 1) * layer + 7 * 2 ** n + 2 * reads) + 2 ** 16
+
+
 def shift_circuit(m: int) -> list[Gate]:
     """Increment circuit |i> -> |(i+1) mod 2^m>.
 

@@ -69,9 +69,9 @@ def check_structured_vs_dense(flip_k2_sign: bool = False) -> dict:
             "max_error": worst}
 
 
-def check_lsbt_exhaustive(max_n: int = 5) -> dict:
+def check_lsbt_exhaustive() -> dict:
     worst = 0.0
-    for n in range(2, max_n + 1):
+    for n in range(2, 7):
         N = 2 ** n
         target = np.zeros((N, N))
         target[N - 2, N - 1] = target[N - 1, N - 2] = 1.0
@@ -137,11 +137,11 @@ def check_energy_identity(n: int = 4, reps: int = 3) -> dict:
             "max_error": worst}
 
 
-def verify_oracles(deep: bool = False, flip_k2_sign: bool = False) -> dict:
+def verify_oracles(flip_k2_sign: bool = False) -> dict:
     checks = [
         check_element_decomposition(),
         check_structured_vs_dense(flip_k2_sign=flip_k2_sign),
-        check_lsbt_exhaustive(6 if deep else 5),
+        check_lsbt_exhaustive(),
         *check_engine(),
         check_energy_identity(),
     ]

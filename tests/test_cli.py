@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vqpde
-from vqpde import cli, driver
+from vqpde import cli, driver, simulator
 from vqpde.cli import (ConfigError, load_config, main, parse_config, run_case,
                        run_sweep)
 from vqpde.fem import BoundaryCase
@@ -343,24 +343,28 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n,reps,fits", [
-        (20, 20, True), (20, 21, False), (20, 64, False), (20, 203, False),
-        (19, 35, True), (19, 36, False), (19, 102, False), (18, 84, True),
+        (20, 19, True), (20, 20, False), (20, 21, False), (20, 64, False),
+        (20, 203, False), (19, 34, True), (19, 35, False), (19, 36, False),
+        (19, 102, False), (18, 82, True), (18, 83, False), (18, 84, False),
         (18, 85, False),
     ])
     def test_layer_factor_limit(self, n, reps, fits):
-        """One gradient call's (reps + 1) (2 (4^h + 4^(n-h)) + 2 2^n) 8
-        bytes, h = n // 2, must fit in MAX_GRADIENT_BYTES: per layer the
-        Kronecker factors, the forward state and the adjoint, and the reads
-        (as large as the factors). 48 MiB a layer at n = 20, 28 MiB at
-        n = 19. Only the check runs; nothing of that size is allocated."""
-        h = n // 2
-        size = (reps + 1) * (2 * (4 ** h + 4 ** (n - h)) + 2 * 2 ** n) * 8
+        """simulator.gradient_bytes must fit in MAX_GRADIENT_BYTES. In
+        float64, with h = n // 2, per layer 2 (4^h + 4^(n-h)) for the
+        factors and the reads' products, 2 2^n for the state and the
+        adjoint, and h 2^h + (n-h) 2^(n-h) for the gathered reads; once,
+        seven 2^n vectors, the read table's indices and signs and 64 KiB.
+        That is 48.16 MiB a layer and 56.38 MiB once at n = 20 (20 layers:
+        1019.5 MiB), 28.11 and 28.29 at n = 19 (35 layers: 1012.3 MiB), and
+        12.07 and 14.20 at n = 18 (83 layers: 1016.0 MiB). Only the check
+        runs; nothing of that size is allocated."""
         assert n * (reps + 1) <= cli.MAX_PARAMS
-        assert (size <= cli.MAX_GRADIENT_BYTES) == fits
+        assert (simulator.gradient_bytes(n, reps)
+                <= cli.MAX_GRADIENT_BYTES) == fits
         if fits:
             cli._check_size(n, reps)
         else:
-            with pytest.raises(ConfigError, match="layer factors"):
+            with pytest.raises(ConfigError, match="engine's buffers"):
                 cli._check_size(n, reps)
 
     def test_parameter_limit_is_inclusive(self, tmp_path):
@@ -371,14 +375,18 @@ class TestMain:
         assert run.reps == cli.MAX_PARAMS // 4 - 1
 
     def test_gradient_limit_is_inclusive(self, tmp_path):
-        """reps 20 is the deepest ansatz accepted at n = 20: its gradient
-        holds 21 x 48 = 1008 MiB, and one more layer would exceed 1 GiB."""
+        """reps 19 is the deepest ansatz accepted at n = 20: its 20 layers
+        of 48.16 MiB and the 56.38 MiB held once come to 1019.5 MiB, and
+        one more layer needs 1068 MiB, more than 1 GiB."""
+        per_layer = (simulator.gradient_bytes(20, 20)
+                     - simulator.gradient_bytes(20, 19))
+        assert per_layer == 8 * (6 * 2 ** 20 + 20 * 2 ** 10)  # 48.16 MiB
         cfg = small_config(tmp_path, problem={"num_qubits": 20},
-                           ansatz={"reps": 20})
+                           ansatz={"reps": 19})
         run = load_config(write_config(tmp_path, cfg))
-        assert (run.problem.num_qubits, run.reps) == (20, 20)
-        cfg["ansatz"]["reps"] = 21
-        with pytest.raises(ConfigError, match="1056 MiB"):
+        assert (run.problem.num_qubits, run.reps) == (20, 19)
+        cfg["ansatz"]["reps"] = 20
+        with pytest.raises(ConfigError, match="1068 MiB"):
             load_config(write_config(tmp_path, cfg))
 
     def test_sweep_rejects_too_many_parameters(self, tmp_path, capsys,

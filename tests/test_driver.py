@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -535,6 +536,59 @@ class TestOptimize:
             assert len(profile.deflections) == 8
         record, _, _ = optimize(make_problem(), opts)
         assert len(record.theta_final) == 3 * 6
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of ``fn()``, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The engine's buffers live and die inside one ``gradient`` call, and
+    ``simulator.gradient_bytes`` bounds them. Each case warms the engine's
+    caches before it measures."""
+
+    @staticmethod
+    def _setup(n, reps):
+        ctx = build_context(make_problem(n=n, length=10.0,
+                                         youngs_modulus=1000.0), reps)
+        theta = np.random.default_rng(0).uniform(-np.pi, np.pi,
+                                                 ctx.n_params)
+        gradient(theta, ctx)
+        return ctx, theta
+
+    @pytest.mark.parametrize("n", [10, 12, 14])
+    @pytest.mark.parametrize("reps", [5, 20])
+    def test_gradient_bytes_bounds_one_call(self, n, reps):
+        ctx, theta = self._setup(n, reps)
+        peak = _peak_bytes(lambda: gradient(theta, ctx))
+        assert peak <= simulator.gradient_bytes(n, reps)
+
+    def test_optimize_holds_one_gradient_at_a_time(self):
+        """A 3 x 3 descent peaks within 1.3 times one gradient call: the
+        reads it keeps are lean (2.55 times while they kept their factors
+        and per-layer states)."""
+        ctx, theta = self._setup(12, 5)
+        opts = OptimizerOptions(seed=0, restarts=3, max_iter=3, grad_tol=0.0)
+
+        def run():
+            optimize(ctx.problem, opts, ctx=ctx)
+
+        run()
+        one = _peak_bytes(lambda: gradient(theta, ctx))
+        assert _peak_bytes(run) <= 1.3 * one
+
+    def test_optimize_returns_a_lean_read(self, ctx3):
+        _, _, breakdown = optimize(ctx3.problem, OptimizerOptions(
+            seed=0, restarts=2, max_iter=5), ctx=ctx3)
+        assert breakdown.k_phi is breakdown.factors is breakdown.states is None
+        assert breakdown.state.base is None
+        assert breakdown.state.shape == (2 ** ctx3.n_qubits,)
 
 
 def _same_as_scipy(fun_and_grad, x0, **options):
